@@ -1,44 +1,11 @@
-//! Criterion micro-benchmarks of the raw-speed paths this crate's figure
-//! binaries lean on: cache-blocked vs flat message delivery inside a BSP
-//! superstep, and bulk vs iterator arc decoding of the binary shard
+//! Criterion micro-benchmark of the raw-speed path this crate's figure
+//! binaries lean on: bulk vs iterator arc decoding of the binary shard
 //! payload. Sample sizes are capped so the sweep stays CI-friendly; the
 //! `cargo bench --no-run` gate only compiles it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hourglass_engine::apps::PageRank;
-use hourglass_engine::{BspEngine, DeliveryMode, EngineConfig};
 use hourglass_graph::generators::{self, RmatParams};
 use hourglass_graph::io_binary::{decode_arcs, decode_arcs_into, max_arc_id, ShardedArcs};
-use hourglass_partition::hash::HashPartitioner;
-use hourglass_partition::Partitioner;
-
-/// Flat vs cache-blocked delivery on a graph whose per-worker slabs are
-/// far larger than one delivery block, on PageRank (every vertex messages
-/// every neighbor every superstep — the delivery-bound regime).
-fn bench_delivery(c: &mut Criterion) {
-    let g = generators::rmat(14, 10, RmatParams::SOCIAL, 3).expect("generate");
-    let part = HashPartitioner.partition(&g, 4).expect("partition");
-    let mut group = c.benchmark_group("delivery_scatter");
-    group.sample_size(10);
-    for (name, delivery) in [
-        ("flat", DeliveryMode::Flat),
-        ("blocked", DeliveryMode::Blocked),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let config = EngineConfig {
-                    delivery,
-                    ..EngineConfig::default()
-                };
-                let mut e =
-                    BspEngine::new(PageRank::fixed(3), &g, part.clone(), config).expect("engine");
-                e.run().expect("run");
-                e.into_values()
-            })
-        });
-    }
-    group.finish();
-}
 
 /// The loaders' old per-arc decode (iterate, range-check, push) vs the
 /// new bulk path (branch-free `max_arc_id` pre-scan, then the checkless
@@ -82,5 +49,5 @@ fn bench_decode(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_delivery, bench_decode);
+criterion_group!(benches, bench_decode);
 criterion_main!(benches);

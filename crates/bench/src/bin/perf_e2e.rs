@@ -11,10 +11,9 @@
 //!
 //! ```text
 //! perf_e2e [--scale N] [--ef N] [--workers K] [--iters N] [--seed N]
-//!          [--format text|binary|binary-mmap] [--delivery auto|blocked|flat]
-//!          [--hub-sort] [--pin] [--sequential] [--trace PATH] [--json PATH]
-//!          [--profile-json PATH] [--metrics PATH] [--bench-report PATH]
-//!          [--smoke]
+//!          [--format text|binary|binary-mmap] [--pin] [--sequential]
+//!          [--trace PATH] [--json PATH] [--profile-json PATH]
+//!          [--metrics PATH] [--bench-report PATH] [--smoke]
 //! ```
 //!
 //! `--bench-report PATH` writes the standardized `bench_report` JSON
@@ -24,7 +23,7 @@
 use hourglass_bench::MetricsHandle;
 use hourglass_engine::apps::PageRank;
 use hourglass_engine::loaders::{reload_graph, stream_load, Datastore, StoreFormat};
-use hourglass_engine::{BspEngine, DeliveryMode, EngineConfig};
+use hourglass_engine::{BspEngine, EngineConfig};
 use hourglass_graph::generators::{self, RmatParams};
 use hourglass_metrics as hm;
 use hourglass_obs as obs;
@@ -39,8 +38,6 @@ struct Args {
     iters: usize,
     seed: u64,
     format: StoreFormat,
-    delivery: DeliveryMode,
-    hub_sort: bool,
     parallel: bool,
     trace: Option<String>,
     json: Option<String>,
@@ -58,8 +55,6 @@ fn parse_args() -> Args {
         iters: 10,
         seed: 42,
         format: StoreFormat::BinaryMapped,
-        delivery: DeliveryMode::Auto,
-        hub_sort: false,
         parallel: true,
         trace: None,
         json: None,
@@ -103,19 +98,7 @@ fn parse_args() -> Args {
                     )),
                 };
             }
-            "--delivery" => {
-                i += 1;
-                a.delivery = match argv.get(i).map(String::as_str) {
-                    Some("auto") => DeliveryMode::Auto,
-                    Some("blocked") => DeliveryMode::Blocked,
-                    Some("flat") => DeliveryMode::Flat,
-                    other => die(&format!(
-                        "--delivery needs auto|blocked|flat, got {other:?}"
-                    )),
-                };
-            }
-            "--hub-sort" => a.hub_sort = true,
-            "--pin" => hourglass_engine::exec::pin::force_enable(),
+            "--pin" => hourglass_exec::pin::force_enable(),
             "--sequential" => a.parallel = false,
             "--trace" => {
                 i += 1;
@@ -164,8 +147,7 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: perf_e2e [--scale N] [--ef N] [--workers K] [--iters N] \
-                     [--seed N] [--format text|binary|binary-mmap] \
-                     [--delivery auto|blocked|flat] [--hub-sort] [--pin] \
+                     [--seed N] [--format text|binary|binary-mmap] [--pin] \
                      [--sequential] [--trace PATH] [--json PATH] \
                      [--profile-json PATH] [--metrics PATH] \
                      [--bench-report PATH] [--smoke]"
@@ -193,8 +175,8 @@ fn die(msg: &str) -> ! {
 fn main() {
     let a = parse_args();
     println!(
-        "== perf_e2e: scale {} ef {} ({} format, {:?} delivery, {} workers, {} iterations) ==",
-        a.scale, a.ef, a.format, a.delivery, a.workers, a.iters
+        "== perf_e2e: scale {} ef {} ({} format, {} workers, {} iterations) ==",
+        a.scale, a.ef, a.format, a.workers, a.iters
     );
     let session = obs::TraceSession::start();
     let metrics = MetricsHandle::new(a.metrics.clone());
@@ -262,8 +244,6 @@ fn main() {
     // Phase 5: compute.
     let config = EngineConfig {
         parallel: a.parallel,
-        delivery: a.delivery,
-        hub_sort: a.hub_sort,
         ..EngineConfig::default()
     };
     let mut outcome = None;
@@ -321,7 +301,6 @@ fn main() {
         r.config("iters", a.iters);
         r.config("seed", a.seed);
         r.config("format", a.format.to_string());
-        r.config("delivery", format!("{:?}", a.delivery));
         r.config("parallel", a.parallel);
         for (name, secs) in &phases {
             r.phase(name, *secs);
@@ -343,10 +322,8 @@ fn main() {
             "workers": a.workers,
             "iters": a.iters,
             "format": a.format.to_string(),
-            "delivery": format!("{:?}", a.delivery),
-            "hub_sort": a.hub_sort,
             "parallel": a.parallel,
-            "pinned": hourglass_engine::exec::pin::enabled(),
+            "pinned": hourglass_exec::pin::enabled(),
             "vertices": g.num_vertices(),
             "edges": g.num_edges(),
             "phases": phases.iter().map(|(n, s)| serde_json::json!({"phase": n, "seconds": s})).collect::<Vec<_>>(),

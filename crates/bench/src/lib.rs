@@ -175,7 +175,7 @@ impl Cli {
                 }
                 "--pin" => {
                     cli.pin = true;
-                    hourglass_engine::exec::pin::force_enable();
+                    hourglass_exec::pin::force_enable();
                 }
                 "--fault-plan" => {
                     i += 1;

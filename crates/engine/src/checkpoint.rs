@@ -18,12 +18,11 @@ use crate::{EngineError, Result};
 use hourglass_faults::{FaultInjector, FaultKind, Op, Site};
 use hourglass_graph::crc32c::{frame, unframe};
 use hourglass_obs as obs;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A durable key→blob store surviving full-cluster failures.
 pub trait CheckpointStore: Send + Sync {
@@ -54,29 +53,36 @@ impl MemoryStore {
 
     /// Total bytes stored (used by save-time cost models).
     pub fn total_bytes(&self) -> usize {
-        self.blobs.lock().values().map(|v| v.len()).sum()
+        self.lock().values().map(|v| v.len()).sum()
+    }
+
+    /// Locks the map, recovering a poisoned lock: every critical section
+    /// is a single whole-value `HashMap` operation, so a panic elsewhere
+    /// on a thread holding the guard cannot leave the map torn.
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, Vec<u8>>> {
+        self.blobs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl CheckpointStore for MemoryStore {
     fn put(&self, key: &str, data: &[u8]) -> Result<()> {
         let _span = obs::span("ckpt_put", "ckpt").arg("bytes", data.len() as u64);
-        self.blobs.lock().insert(key.to_string(), data.to_vec());
+        self.lock().insert(key.to_string(), data.to_vec());
         Ok(())
     }
 
     fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
         let _span = obs::span("ckpt_get", "ckpt");
-        Ok(self.blobs.lock().get(key).cloned())
+        Ok(self.lock().get(key).cloned())
     }
 
     fn delete(&self, key: &str) -> Result<()> {
-        self.blobs.lock().remove(key);
+        self.lock().remove(key);
         Ok(())
     }
 
     fn keys(&self) -> Result<Vec<String>> {
-        let mut keys: Vec<String> = self.blobs.lock().keys().cloned().collect();
+        let mut keys: Vec<String> = self.lock().keys().cloned().collect();
         keys.sort();
         Ok(keys)
     }
@@ -389,6 +395,27 @@ mod tests {
         let s = MemoryStore::new();
         exercise(&s);
         assert_eq!(s.total_bytes(), 0);
+    }
+
+    #[test]
+    fn memory_store_survives_a_panic_under_its_lock() {
+        let s = MemoryStore::new();
+        s.put("a", b"before").expect("put");
+        let holder = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = s.blobs.lock().expect("first lock");
+                    panic!("holder dies with the store locked");
+                })
+                .join()
+        });
+        assert!(holder.is_err());
+        assert!(s.blobs.is_poisoned());
+        assert_eq!(s.get("a").expect("get").as_deref(), Some(&b"before"[..]));
+        s.put("b", b"after").expect("put");
+        assert_eq!(s.keys().expect("keys"), vec!["a", "b"]);
+        assert_eq!(s.total_bytes(), 11);
+        s.delete("a").expect("delete");
     }
 
     #[test]

@@ -11,93 +11,15 @@
 //! combiner), so the exchange phase is a matrix transpose of pointer
 //! swaps followed by per-destination parallel delivery.
 
-use crate::exec::fork_join;
 use crate::metrics::{RunMetrics, SuperstepMetrics};
 use crate::program::{Aggregates, ComputeContext, VertexProgram};
 use crate::{EngineError, Result};
+use hourglass_exec::fork_join;
 use hourglass_graph::{Graph, VertexId};
 use hourglass_obs as obs;
 use hourglass_partition::Partitioning;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-
-/// How delivery walks a destination worker's slot space.
-///
-/// Flat delivery drains each source's bucket front to back; on slabs much
-/// larger than L2 every message is a cache miss on the inbox. Blocked
-/// delivery first scatters the buckets into ranges of
-/// [`DELIVERY_BLOCK_SLOTS`] destination slots, then drains one range at a
-/// time, so each pass touches an L2-resident window of the inbox. Both
-/// orders append/combine into every inbox cell in the same source-major
-/// sequence, so results are bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeliveryMode {
-    /// Blocked when the inbox working set overflows the last-level cache
-    /// (see [`auto_blocks`]), flat otherwise (the default).
-    Auto,
-    /// Always take the cache-blocked path.
-    Blocked,
-    /// Always drain buckets directly.
-    Flat,
-}
-
-/// Destination-slot span of one delivery block: 8 Ki slots of message
-/// vectors (≈ 192 KiB of inbox headers on 64-bit) sit comfortably in an
-/// L2 slice while the scatter stream stays sequential.
-pub const DELIVERY_BLOCK_SLOTS: usize = 8192;
-
-/// Approximate bytes one inbox cell touches during delivery: the cell's
-/// `Vec` header plus a combined message payload.
-const APPROX_CELL_BYTES: usize = 48;
-
-/// Last-level cache size estimate in bytes: the `HOURGLASS_LLC_BYTES`
-/// override if set, else the largest data cache sysfs reports for cpu0,
-/// else a conservative 32 MiB.
-pub fn llc_bytes() -> usize {
-    static LLC: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *LLC.get_or_init(|| {
-        if let Some(n) = std::env::var("HOURGLASS_LLC_BYTES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            return n;
-        }
-        for index in ["index3", "index2"] {
-            let path = format!("/sys/devices/system/cpu/cpu0/cache/{index}/size");
-            if let Some(n) = std::fs::read_to_string(&path)
-                .ok()
-                .and_then(|s| parse_cache_size(s.trim()))
-            {
-                return n;
-            }
-        }
-        32 << 20
-    })
-}
-
-/// Parses a sysfs cache size like `"32768K"`, `"260M"` or `"2G"`.
-fn parse_cache_size(s: &str) -> Option<usize> {
-    let (digits, mult) = match s.as_bytes().last()? {
-        b'K' => (&s[..s.len() - 1], 1usize << 10),
-        b'M' => (&s[..s.len() - 1], 1 << 20),
-        b'G' => (&s[..s.len() - 1], 1 << 30),
-        _ => (s, 1),
-    };
-    digits.parse::<usize>().ok().map(|n| n.saturating_mul(mult))
-}
-
-/// Whether [`DeliveryMode::Auto`] blocks an inbox of `slots` cells.
-///
-/// The blocked scatter is an extra linear pass over every message; it
-/// only pays off when flat delivery's randomly-addressed inbox working
-/// set overflows the last-level cache and each append becomes a memory
-/// round-trip. Below that the scattered writes already hit cache —
-/// measured on a 260 MiB-LLC host, unconditionally blocking a
-/// 2.1 M-slot inbox (scale-23 R-MAT, 4 workers) made delivery 3× slower
-/// — so Auto blocks only past the LLC estimate.
-pub fn auto_blocks(slots: usize) -> bool {
-    slots > DELIVERY_BLOCK_SLOTS && slots.saturating_mul(APPROX_CELL_BYTES) > llc_bytes()
-}
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -107,16 +29,6 @@ pub struct EngineConfig {
     /// Execute workers as OS threads (one per partition) instead of
     /// sequentially. Results are identical; only wall time differs.
     pub parallel: bool,
-    /// Delivery traversal order (see [`DeliveryMode`]). Results are
-    /// identical across modes; only cache behavior differs.
-    pub delivery: DeliveryMode,
-    /// Order each worker's vertices by descending degree (ties by id)
-    /// instead of member order, concentrating hub inbox slots — where
-    /// most messages land — in the first delivery blocks. Off by
-    /// default: slot order is also compute order, so programs whose
-    /// floating-point reductions are order-sensitive see last-ulp
-    /// differences (integer/idempotent programs are unaffected).
-    pub hub_sort: bool,
 }
 
 impl Default for EngineConfig {
@@ -124,8 +36,6 @@ impl Default for EngineConfig {
         EngineConfig {
             max_supersteps: 10_000,
             parallel: true,
-            delivery: DeliveryMode::Auto,
-            hub_sort: false,
         }
     }
 }
@@ -200,10 +110,6 @@ pub struct BspEngine<'g, P: VertexProgram> {
     /// cells ping-pong with `outboxes` via `mem::swap`, so bucket
     /// capacity is reused across supersteps.
     delivery: BucketMatrix<P::Message>,
-    /// Per-destination scatter buffers for blocked delivery, one vector
-    /// per [`DELIVERY_BLOCK_SLOTS`]-slot range; kept across supersteps so
-    /// their capacity is reused. Empty when delivery runs flat.
-    scratch: BucketMatrix<P::Message>,
     superstep: usize,
     prev_aggregates: Aggregates,
     metrics: RunMetrics,
@@ -238,12 +144,7 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
                 graph.num_vertices()
             )));
         }
-        let mut members = partitioning.members();
-        if config.hub_sort {
-            for ws in &mut members {
-                ws.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
-            }
-        }
+        let members = partitioning.members();
         let route = crate::program::build_routes(graph.num_vertices(), &members);
         let w = members.len();
         let values = members
@@ -272,7 +173,6 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
             inbox_next: empty_inboxes(&members),
             outboxes: empty_buckets(),
             delivery: empty_buckets(),
-            scratch: (0..w).map(|_| Vec::new()).collect(),
             members,
             route,
             partitioning,
@@ -412,28 +312,15 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
                 }
             }
         }
-        let mode = self.config.delivery;
         let delivery_tasks: Vec<_> = self
             .delivery
             .iter_mut()
             .zip(self.inbox_next.iter_mut())
-            .zip(self.scratch.iter_mut())
             .enumerate()
-            .map(|(dest, ((rows, inbox), scratch))| {
+            .map(|(dest, (rows, inbox))| {
                 move || {
-                    let blocked = match mode {
-                        DeliveryMode::Blocked => true,
-                        DeliveryMode::Flat => false,
-                        DeliveryMode::Auto => auto_blocks(inbox.len()),
-                    };
-                    let _span = obs::span("deliver", "engine")
-                        .arg("worker", dest as u64)
-                        .arg("blocked", u64::from(blocked));
-                    if blocked {
-                        deliver_worker_blocked::<P>(program, rows, inbox, scratch)
-                    } else {
-                        deliver_worker::<P>(program, rows, inbox)
-                    }
+                    let _span = obs::span("deliver", "engine").arg("worker", dest as u64);
+                    deliver_worker::<P>(program, rows, inbox)
                 }
             })
             .collect();
@@ -736,43 +623,6 @@ fn deliver_worker<P: VertexProgram>(
     }
 }
 
-/// Cache-blocked delivery: a stable counting scatter into
-/// [`DELIVERY_BLOCK_SLOTS`]-slot ranges, then a per-range drain. The
-/// scatter streams every source bucket front to back (sequential reads,
-/// append-only writes), and the drain's random inbox accesses are confined
-/// to one block at a time. Entries destined for the same slot keep their
-/// source-major order through both passes, so the inbox — and any
-/// tail-combining — comes out bit-identical to [`deliver_worker`].
-/// `scratch` keeps its per-block capacity across supersteps.
-fn deliver_worker_blocked<P: VertexProgram>(
-    program: &P,
-    rows: &mut [Vec<(u32, P::Message)>],
-    inbox: &mut [Vec<P::Message>],
-    scratch: &mut Vec<Vec<(u32, P::Message)>>,
-) {
-    let num_blocks = inbox.len().div_ceil(DELIVERY_BLOCK_SLOTS).max(1);
-    if scratch.len() < num_blocks {
-        scratch.resize_with(num_blocks, Vec::new);
-    }
-    for row in rows {
-        for (slot, msg) in row.drain(..) {
-            scratch[slot as usize / DELIVERY_BLOCK_SLOTS].push((slot, msg));
-        }
-    }
-    for block in scratch {
-        for (slot, msg) in block.drain(..) {
-            let cell = &mut inbox[slot as usize];
-            if let Some(last) = cell.last_mut() {
-                if let Some(combined) = program.combine(last, &msg) {
-                    *last = combined;
-                    continue;
-                }
-            }
-            cell.push(msg);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -841,93 +691,6 @@ mod tests {
         // Vertex 0 hears from 1 and 7 → 7.
         assert_eq!(e.values()[0], 7);
         assert_eq!(e.values()[3], 4);
-    }
-
-    #[test]
-    fn blocked_delivery_matches_flat_exactly() {
-        // More vertices than one delivery block so Auto also blocks, and
-        // a float-valued program so the check is bit-exact, not epsilon.
-        let g = generators::rmat(14, 6, generators::RmatParams::SOCIAL, 3).expect("gen");
-        assert!(g.num_vertices() > DELIVERY_BLOCK_SLOTS);
-        let p = HashPartitioner.partition(&g, 4).expect("partition");
-        let run = |delivery: DeliveryMode| {
-            let mut e = BspEngine::new(
-                crate::apps::PageRank::fixed(10),
-                &g,
-                p.clone(),
-                EngineConfig {
-                    delivery,
-                    ..EngineConfig::default()
-                },
-            )
-            .expect("engine");
-            e.run().expect("run");
-            e.into_values()
-        };
-        let flat = run(DeliveryMode::Flat);
-        assert_eq!(flat, run(DeliveryMode::Blocked), "blocked vs flat");
-        assert_eq!(flat, run(DeliveryMode::Auto), "auto vs flat");
-    }
-
-    #[test]
-    fn blocked_delivery_forced_on_small_slabs() {
-        // Blocked mode must also be exact when the slab fits one block.
-        let g = generators::erdos_renyi(300, 900, 5).expect("gen");
-        let p = HashPartitioner.partition(&g, 4).expect("partition");
-        let mut flat = engine_on(&g, 4, true);
-        let mut blocked = BspEngine::new(
-            MaxId,
-            &g,
-            p,
-            EngineConfig {
-                delivery: DeliveryMode::Blocked,
-                ..EngineConfig::default()
-            },
-        )
-        .expect("engine");
-        flat.run().expect("run");
-        blocked.run().expect("run");
-        assert_eq!(flat.values(), blocked.values());
-    }
-
-    #[test]
-    fn auto_delivery_threshold_is_cache_aware() {
-        assert_eq!(parse_cache_size("32768K"), Some(32768 << 10));
-        assert_eq!(parse_cache_size("260M"), Some(260 << 20));
-        assert_eq!(parse_cache_size("2G"), Some(2usize << 30));
-        assert_eq!(parse_cache_size("1024"), Some(1024));
-        assert_eq!(parse_cache_size("junk"), None);
-        assert!(llc_bytes() >= 1 << 20, "sane LLC estimate");
-        // One block never blocks; an inbox past the LLC estimate must.
-        assert!(!auto_blocks(DELIVERY_BLOCK_SLOTS));
-        let past_llc = llc_bytes() / APPROX_CELL_BYTES + DELIVERY_BLOCK_SLOTS + 1;
-        assert!(auto_blocks(past_llc));
-    }
-
-    #[test]
-    fn hub_sort_preserves_results() {
-        let g = generators::rmat(10, 8, generators::RmatParams::SOCIAL, 7).expect("gen");
-        let p = HashPartitioner.partition(&g, 4).expect("partition");
-        let run = |hub_sort: bool| {
-            let mut e = BspEngine::new(
-                MaxId,
-                &g,
-                p.clone(),
-                EngineConfig {
-                    hub_sort,
-                    ..EngineConfig::default()
-                },
-            )
-            .expect("engine");
-            let report = e.run().expect("run");
-            (e.into_values(), report.total_messages)
-        };
-        let (plain, plain_msgs) = run(false);
-        let (sorted, sorted_msgs) = run(true);
-        // Values come back in global vertex order either way; an integer
-        // max-program is insensitive to the changed compute order.
-        assert_eq!(plain, sorted);
-        assert_eq!(plain_msgs, sorted_msgs);
     }
 
     #[test]
@@ -1169,7 +932,6 @@ mod tests {
             EngineConfig {
                 max_supersteps: 5,
                 parallel: false,
-                ..EngineConfig::default()
             },
         )
         .expect("engine");

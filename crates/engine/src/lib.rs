@@ -13,21 +13,18 @@
 //! metric §8.3.3 estimates exactly this traffic).
 //!
 //! Loading reads a [`loaders::Datastore`] — the text edge-list baseline or
-//! the sharded binary (`HGS2`, checksummed; legacy `HGS1` still loads)
-//! layout whose micro-partition buckets decode zero-copy — and
-//! [`loaders::reload_graph`] turns the loaded per-worker slabs back into
-//! the in-memory graph a deployment executes on. Checkpoint recovery and
-//! degraded reloads under injected faults live in [`recovery`] and
-//! [`loaders::reload_graph_resilient`].
+//! the sharded binary (`HGS2`, checksummed) layout whose micro-partition
+//! buckets decode zero-copy — and [`loaders::reload_graph`] turns the
+//! loaded per-worker slabs back into the in-memory graph a deployment
+//! executes on. Checkpoint recovery and degraded reloads under injected
+//! faults live in [`recovery`] and [`loaders::reload_graph_resilient`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod apps;
 pub mod checkpoint;
-pub mod cluster;
 pub mod engine;
-pub mod exec;
 pub mod loaders;
 pub mod metrics;
 pub mod program;
@@ -38,10 +35,7 @@ pub mod recovery;
 pub use hourglass_faults as faults;
 
 pub use checkpoint::{get_framed, put_framed, CheckpointStore, DirStore, FaultyStore, MemoryStore};
-pub use engine::{
-    auto_blocks, llc_bytes, BspEngine, DeliveryMode, EngineConfig, ExecutionReport,
-    DELIVERY_BLOCK_SLOTS,
-};
+pub use engine::{BspEngine, EngineConfig, ExecutionReport};
 pub use loaders::{Datastore, StoreFormat};
 pub use program::{ComputeContext, VertexProgram};
 

@@ -5,7 +5,7 @@
 //! - **[`Datastore`]** — the at-rest layout the loaders read. Two physical
 //!   formats behind one abstraction: the text edge list ([`EdgeListStore`],
 //!   the comparison baseline) and the sharded binary store
-//!   ([`ShardedArcs`], `HGS1`) whose buckets are contiguous blocks of
+//!   ([`ShardedArcs`], `HGS2`) whose buckets are contiguous blocks of
 //!   little-endian `u32` arc pairs decoded from byte slices with zero
 //!   copies. Either layout is bucketed per micro-partition (the offline
 //!   fast-reload layout: "graph data remains partitioned in the same way
@@ -29,8 +29,8 @@
 //!   penalty; hash pays the network at small clusters; micro scales with
 //!   `1/k`).
 
-use crate::exec::{par_map, par_map_when};
 use crate::{EngineError, Result};
+use hourglass_exec::{par_map, par_map_when};
 use hourglass_faults::{FaultInjector, FaultKind, FaultPlan, Op, RetryPolicy, Site};
 use hourglass_graph::io_binary::{
     decode_arcs, decode_arcs_into, max_arc_id, ShardedArcs, ARC_BYTES,
@@ -72,7 +72,7 @@ impl fmt::Display for LoaderKind {
 pub enum StoreFormat {
     /// `u v\n` text lines (the SNAP-style baseline).
     Text,
-    /// Sharded little-endian binary arc pairs (`HGS1`/`HGS2`), read through
+    /// Sharded little-endian binary arc pairs (`HGS2`), read through
     /// buffered IO into a heap slab.
     Binary,
     /// The same binary layout served from a memory-mapped file: bucket
@@ -311,8 +311,7 @@ impl EdgeListStore {
 pub enum Datastore {
     /// Text edge-list buckets.
     Text(EdgeListStore),
-    /// Sharded binary arc buckets (`HGS2` on disk, `HGS1` legacy reads),
-    /// decoded zero-copy.
+    /// Sharded binary arc buckets (`HGS2` on disk), decoded zero-copy.
     Binary(ShardedArcs),
     /// The sharded binary layout memory-mapped from its `HGS2` file:
     /// bucket bytes are page-cache slices, so a (re)load copies nothing
@@ -370,7 +369,7 @@ impl Datastore {
         Ok(Datastore::Binary(sharded))
     }
 
-    /// Opens the `HGS2`/`HGS1` file at `path` as a memory-mapped store.
+    /// Opens the `HGS2` file at `path` as a memory-mapped store.
     pub fn mapped_from_path<P: AsRef<std::path::Path>>(path: P) -> Result<Self> {
         let m = MappedShards::open(path)
             .map_err(|e| EngineError::InvalidConfig(format!("mapped store: {e}")))?;

@@ -3,8 +3,7 @@
 use hourglass_metrics as hm;
 use serde::{Deserialize, Serialize};
 
-/// Supersteps executed (both the in-process engine and the cluster
-/// harness record one increment per superstep).
+/// Supersteps executed (one increment per [`crate::BspEngine::step`]).
 pub static M_SUPERSTEPS: hm::FamilyDesc = hm::FamilyDesc {
     name: "hourglass_engine_supersteps_total",
     help: "Supersteps executed.",
@@ -95,8 +94,7 @@ pub struct SuperstepMetrics {
     /// Compute seconds summed over all workers (aggregate CPU).
     pub total_worker_seconds: f64,
     /// Seconds the superstep spent delivering messages after the barrier
-    /// (outbox transpose + per-worker inbox scatter in the in-process
-    /// engine; the exchange phase in the cluster harness).
+    /// (outbox transpose + per-worker inbox scatter).
     pub delivery_seconds: f64,
     /// Seconds workers spent idle at the superstep barrier, summed over
     /// workers: `Σ_w (max_worker_seconds − compute_w)`. Separates compute

@@ -52,12 +52,12 @@ where
             })
             .collect();
     }
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = tasks
             .into_iter()
             .enumerate()
             .map(|(i, t)| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     pin::pin_task_thread(i);
                     let scope = obs::task_begin(i as u32);
                     let mscope = metrics::task_begin();
@@ -76,7 +76,6 @@ where
             })
             .collect()
     })
-    .expect("scope panicked")
 }
 
 /// Maps `f` over `items` on one scoped thread per item, preserving order.
@@ -133,6 +132,24 @@ mod tests {
         assert_eq!(fork_join(true, tasks), vec![0, 1, 4, 9, 16, 25, 36, 49]);
         let tasks: Vec<_> = (0..8).map(|i| move || i * i).collect();
         assert_eq!(fork_join(false, tasks), vec![0, 1, 4, 9, 16, 25, 36, 49]);
+    }
+
+    #[test]
+    #[should_panic(expected = "task 1 failed")]
+    fn fork_join_propagates_a_task_panic_sequential() {
+        let tasks: Vec<_> = (0..3)
+            .map(|i| move || assert!(i != 1, "task {i} failed"))
+            .collect();
+        fork_join(false, tasks);
+    }
+
+    #[test]
+    #[should_panic(expected = "worker thread panicked")]
+    fn fork_join_propagates_a_task_panic_threaded() {
+        let tasks: Vec<_> = (0..3)
+            .map(|i| move || assert!(i != 1, "task {i} failed"))
+            .collect();
+        fork_join(true, tasks);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Compact binary edge-list formats (flat `HGG1` and sharded `HGS1`).
+//! Compact binary edge-list formats (flat `HGG1` and sharded `HGS2`).
 //!
 //! Text edge lists (the SNAP format of [`crate::io`]) parse at tens of
 //! MB/s; the loading-phase experiments want a faster at-rest layout too.
@@ -38,8 +38,9 @@
 //! meta    u32 LE, CRC32C over magic+header+counts+crcs
 //! ```
 //!
-//! The reader still accepts trailer-less version-1 (`HGS1`) files, which
-//! are the same layout minus the two trailer sections.
+//! An `HGS1` magic (the same layout without the two trailer sections) is
+//! rejected like any other unknown magic: a file that carries no checksums
+//! would verify vacuously.
 
 use crate::builder::GraphBuilder;
 use crate::crc32c::crc32c;
@@ -49,7 +50,6 @@ use hourglass_obs as obs;
 use std::io::{Read, Write};
 
 const MAGIC: &[u8; 4] = b"HGG1";
-const SHARD_MAGIC_V1: &[u8; 4] = b"HGS1";
 const SHARD_MAGIC_V2: &[u8; 4] = b"HGS2";
 
 /// Bytes per serialized arc pair.
@@ -197,7 +197,7 @@ pub fn max_arc_id(bytes: &[u8]) -> Option<u32> {
         .reduce(u32::max)
 }
 
-/// A sharded binary arc store (`HGS1`): the at-rest layout of the
+/// A sharded binary arc store (`HGS2`): the at-rest layout of the
 /// fast-reload datastore.
 ///
 /// Arcs (both directions of every undirected edge, so adjacency can be
@@ -341,19 +341,14 @@ impl ShardedArcs {
     /// On-disk size in bytes of the `HGS2` layout written by
     /// [`ShardedArcs::write_to`], header and checksum trailer included.
     pub fn serialized_size(&self) -> u64 {
-        self.serialized_size_v1() + 4 * self.arc_ends.len() as u64 + 4
+        let buckets = self.arc_ends.len() as u64;
+        4 + 4 + 4 + 8 + 8 * buckets + self.payload.len() as u64 + 4 * buckets + 4
     }
 
-    /// On-disk size in bytes of the legacy trailer-less `HGS1` layout.
-    pub fn serialized_size_v1(&self) -> u64 {
-        4 + 4 + 4 + 8 + 8 * self.arc_ends.len() as u64 + self.payload.len() as u64
-    }
-
-    /// The header + counts section, byte-identical between versions except
-    /// for the magic.
-    fn header_bytes(&self, magic: &[u8; 4]) -> Vec<u8> {
+    /// The magic + header + counts section.
+    fn header_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(20 + 8 * self.arc_ends.len());
-        out.extend_from_slice(magic);
+        out.extend_from_slice(SHARD_MAGIC_V2);
         out.extend_from_slice(&self.num_vertices.to_le_bytes());
         out.extend_from_slice(&(self.arc_ends.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.num_arcs().to_le_bytes());
@@ -368,7 +363,7 @@ impl ShardedArcs {
     /// Serializes in the checksummed `HGS2` layout.
     pub fn write_to<W: Write>(&self, mut w: W) -> Result<()> {
         let _span = obs::span("shard_store_write", "io").arg("bytes", self.serialized_size());
-        let header = self.header_bytes(SHARD_MAGIC_V2);
+        let header = self.header_bytes();
         w.write_all(&header)?;
         w.write_all(&self.payload)?;
         let mut meta = header;
@@ -382,41 +377,26 @@ impl ShardedArcs {
         Ok(())
     }
 
-    /// Serializes in the legacy trailer-less `HGS1` layout (kept for
-    /// compatibility tests and downgrade paths).
-    pub fn write_to_v1<W: Write>(&self, mut w: W) -> Result<()> {
-        let _span = obs::span("shard_store_write", "io").arg("bytes", self.serialized_size_v1());
-        w.write_all(&self.header_bytes(SHARD_MAGIC_V1))?;
-        w.write_all(&self.payload)?;
-        w.flush()?;
-        Ok(())
-    }
-
-    /// Deserializes a sharded store. `HGS2` files are checksum-verified
-    /// (any single-bit corruption is rejected); legacy `HGS1` files load
-    /// unverified.
+    /// Deserializes a sharded store, verifying every checksum (any
+    /// single-bit corruption is rejected).
     pub fn read_from<R: Read>(mut r: R) -> Result<Self> {
         let _span = obs::span("shard_store_read", "io");
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
-        let checked = if &magic == SHARD_MAGIC_V2 {
-            true
-        } else if &magic == SHARD_MAGIC_V1 {
-            false
-        } else {
+        if &magic != SHARD_MAGIC_V2 {
             return Err(GraphError::Parse {
                 line: 0,
-                message: format!(
-                    "bad magic {magic:?}, expected {SHARD_MAGIC_V2:?} or {SHARD_MAGIC_V1:?}"
-                ),
+                message: format!("bad magic {magic:?}, expected {SHARD_MAGIC_V2:?}"),
             });
-        };
+        }
         let num_vertices = read_u32(&mut r)?;
         let b = read_u32(&mut r)? as usize;
         let mut m_bytes = [0u8; 8];
         r.read_exact(&mut m_bytes)?;
         let m = u64::from_le_bytes(m_bytes);
-        let mut arc_ends = Vec::with_capacity(b);
+        // `b` is unverified until the trailer checks out: a flipped high
+        // bit must not turn into a multi-gigabyte reservation.
+        let mut arc_ends = Vec::with_capacity(b.min(1 << 16));
         let mut acc = 0u64;
         for _ in 0..b {
             r.read_exact(&mut m_bytes)?;
@@ -450,16 +430,14 @@ impl ShardedArcs {
             arc_ends,
             payload,
         };
-        if checked {
-            store.verify_trailer(&mut r)?;
-        }
+        store.verify_trailer(&mut r)?;
         Ok(store)
     }
 
     /// Reads and verifies the `HGS2` checksum trailer against the already
     /// parsed header, counts and payload.
     fn verify_trailer<R: Read>(&self, r: &mut R) -> Result<()> {
-        let mut meta = self.header_bytes(SHARD_MAGIC_V2);
+        let mut meta = self.header_bytes();
         let mut crc_bytes = [0u8; 4];
         for b in 0..self.num_buckets() {
             r.read_exact(&mut crc_bytes)
@@ -647,22 +625,21 @@ mod tests {
     }
 
     #[test]
-    fn sharded_v1_files_still_load() {
-        let g = generators::rmat(8, 6, generators::RmatParams::WEB, 5).expect("gen");
-        let buckets: Vec<u32> = (0..g.num_vertices() as u32).map(|v| v % 4).collect();
-        let s = ShardedArcs::from_graph_buckets(&g, &buckets, 4).expect("shard");
+    fn sharded_v1_files_are_rejected() {
+        // A well-formed trailer-less v1 store: 0 arcs in 0 buckets over 3
+        // vertices. Only the magic is wrong for today's reader.
         let mut v1 = Vec::new();
-        s.write_to_v1(&mut v1).expect("write v1");
-        assert_eq!(v1.len() as u64, s.serialized_size_v1());
-        assert_eq!(&v1[..4], SHARD_MAGIC_V1);
-        let s2 = ShardedArcs::read_from(&v1[..]).expect("read v1");
-        assert_eq!(s, s2);
-        // The v2 encoding is the v1 body plus the checksum trailer.
-        let mut v2 = Vec::new();
-        s.write_to(&mut v2).expect("write v2");
-        assert_eq!(&v2[..4], SHARD_MAGIC_V2);
-        assert_eq!(v2.len() as u64, s.serialized_size_v1() + 4 * 4 + 4);
-        assert_eq!(&v1[4..], &v2[4..v1.len()]);
+        v1.extend_from_slice(b"HGS1");
+        v1.extend_from_slice(&3u32.to_le_bytes());
+        v1.extend_from_slice(&0u32.to_le_bytes());
+        v1.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(v1.len(), 20);
+        match ShardedArcs::read_from(&v1[..]) {
+            Err(GraphError::Parse { message, .. }) => {
+                assert!(message.contains("bad magic"), "{message}")
+            }
+            other => panic!("v1 must fail on its magic, got {other:?}"),
+        }
     }
 
     #[test]

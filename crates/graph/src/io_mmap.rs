@@ -1,4 +1,4 @@
-//! Memory-mapped backing for the sharded arc store (`HGS2`/`HGS1`).
+//! Memory-mapped backing for the sharded arc store (`HGS2`).
 //!
 //! [`MappedShards`] is the zero-copy sibling of
 //! [`ShardedArcs`](crate::io_binary::ShardedArcs): instead of reading the
@@ -30,7 +30,6 @@ use crate::{GraphError, Result};
 use hourglass_obs as obs;
 use std::path::Path;
 
-const SHARD_MAGIC_V1: &[u8; 4] = b"HGS1";
 const SHARD_MAGIC_V2: &[u8; 4] = b"HGS2";
 const HEADER_BYTES: usize = 4 + 4 + 4 + 8;
 
@@ -91,7 +90,7 @@ mod backing {
     }
 }
 
-/// A sharded arc store served directly from a mapped `HGS2`/`HGS1` file.
+/// A sharded arc store served directly from a mapped `HGS2` file.
 ///
 /// Mirrors the read-side API of [`ShardedArcs`]; `bucket_bytes` is a slice
 /// of the mapping rather than of a heap slab.
@@ -102,16 +101,15 @@ pub struct MappedShards {
     arc_ends: Vec<u64>,
     /// Byte offset of the bucket-major payload within the file.
     payload_off: usize,
-    /// Byte offset of the per-bucket CRC section (`None` for v1 files,
-    /// which carry no trailer).
-    crc_off: Option<usize>,
+    /// Byte offset of the per-bucket CRC section.
+    crc_off: usize,
 }
 
 impl MappedShards {
     /// Opens and maps a sharded store file.
     ///
-    /// The header, bucket counts and (for `HGS2`) the metadata checksum
-    /// are validated eagerly; bucket payloads are not touched. The file
+    /// The header, bucket counts and the metadata checksum are validated
+    /// eagerly; bucket payloads are not touched. The file
     /// length must match the layout exactly.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self> {
         let file = std::fs::File::open(path.as_ref())?;
@@ -128,16 +126,12 @@ impl MappedShards {
         if bytes.len() < HEADER_BYTES {
             return Err(fail(format!("file too short for header: {}", bytes.len())));
         }
-        let checked = if &bytes[..4] == SHARD_MAGIC_V2 {
-            true
-        } else if &bytes[..4] == SHARD_MAGIC_V1 {
-            false
-        } else {
+        if &bytes[..4] != SHARD_MAGIC_V2 {
             return Err(fail(format!(
-                "bad magic {:?}, expected {SHARD_MAGIC_V2:?} or {SHARD_MAGIC_V1:?}",
+                "bad magic {:?}, expected {SHARD_MAGIC_V2:?}",
                 &bytes[..4]
             )));
-        };
+        }
         let num_vertices = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
         let b = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
         let m = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
@@ -166,7 +160,7 @@ impl MappedShards {
         let payload_len = (m as usize)
             .checked_mul(ARC_BYTES)
             .ok_or_else(|| fail(format!("arc count {m} overflows payload size")))?;
-        let trailer_len = if checked { 4 * b + 4 } else { 0 };
+        let trailer_len = 4 * b + 4;
         let want = payload_off
             .checked_add(payload_len)
             .and_then(|x| x.checked_add(trailer_len))
@@ -177,21 +171,19 @@ impl MappedShards {
                 bytes.len()
             )));
         }
-        let crc_off = checked.then_some(payload_off + payload_len);
-        if let Some(crc_off) = crc_off {
-            // Metadata checksum covers magic+header+counts+bucket-crcs —
-            // the same byte stream the writer hashed, but streamed over
-            // the mapping instead of reassembled.
-            let got = crc32c_append(
-                crc32c(&bytes[..payload_off]),
-                &bytes[crc_off..crc_off + 4 * b],
-            );
-            let want = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-            if got != want {
-                return Err(fail(format!(
-                    "metadata checksum mismatch: stored {want:#010x}, computed {got:#010x}"
-                )));
-            }
+        let crc_off = payload_off + payload_len;
+        // Metadata checksum covers magic+header+counts+bucket-crcs — the
+        // same byte stream the writer hashed, but streamed over the
+        // mapping instead of reassembled.
+        let got = crc32c_append(
+            crc32c(&bytes[..payload_off]),
+            &bytes[crc_off..crc_off + 4 * b],
+        );
+        let want = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
+        if got != want {
+            return Err(fail(format!(
+                "metadata checksum mismatch: stored {want:#010x}, computed {got:#010x}"
+            )));
         }
         Ok(MappedShards {
             data,
@@ -264,14 +256,9 @@ impl MappedShards {
     /// Verifies bucket `b`'s payload against its stored CRC32C.
     ///
     /// Faults the bucket in and checksums it — the lazy counterpart of the
-    /// up-front verification `ShardedArcs::read_from` performs. Legacy v1
-    /// files carry no trailer and verify vacuously, matching the buffered
-    /// reader.
+    /// up-front verification `ShardedArcs::read_from` performs.
     pub fn verify_bucket(&self, b: u32) -> Result<()> {
-        let Some(crc_off) = self.crc_off else {
-            return Ok(());
-        };
-        let at = crc_off + b as usize * 4;
+        let at = self.crc_off + b as usize * 4;
         let want = u32::from_le_bytes(
             self.data.as_slice()[at..at + 4]
                 .try_into()
@@ -342,7 +329,6 @@ impl std::fmt::Debug for MappedShards {
             .field("num_vertices", &self.num_vertices)
             .field("num_buckets", &self.num_buckets())
             .field("num_arcs", &self.num_arcs())
-            .field("checked", &self.crc_off.is_some())
             .finish()
     }
 }
@@ -410,17 +396,23 @@ mod tests {
     }
 
     #[test]
-    fn mapped_reads_legacy_v1() {
-        let g = generators::erdos_renyi(30, 60, 3).expect("gen");
-        let s = ShardedArcs::flat_from_graph(&g);
+    fn mapped_rejects_legacy_v1() {
+        // A well-formed trailer-less v1 store (0 arcs, 0 buckets): the
+        // length matches its layout, so only the magic can reject it.
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(b"HGS1");
+        v1.extend_from_slice(&3u32.to_le_bytes());
+        v1.extend_from_slice(&0u32.to_le_bytes());
+        v1.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(v1.len(), HEADER_BYTES);
         let path = tmp_path("v1");
-        let mut f = std::io::BufWriter::new(std::fs::File::create(&path).expect("create"));
-        s.write_to_v1(&mut f).expect("write v1");
-        f.flush().expect("flush");
-        let m = MappedShards::open(&path).expect("open v1");
-        assert!(m == s);
-        // v1 carries no trailer: verification is vacuous, like read_from.
-        m.verify_all().expect("v1 verifies vacuously");
+        std::fs::write(&path, &v1).expect("write v1");
+        match MappedShards::open(&path) {
+            Err(GraphError::Parse { message, .. }) => {
+                assert!(message.contains("bad magic"), "{message}")
+            }
+            other => panic!("v1 must fail on its magic, got {other:?}"),
+        }
         std::fs::remove_file(&path).ok();
     }
 

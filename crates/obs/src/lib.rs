@@ -389,8 +389,7 @@ impl TaskSpans {
 /// Marks the start of fork-join task `track` on the current thread:
 /// subsequent spans carry that track id until [`task_end`]. Called by
 /// `hourglass_exec::fork_join` for every task on both the sequential and
-/// the threaded path (and by long-lived cluster workers once per
-/// superstep).
+/// the threaded path.
 pub fn task_begin(track: u32) -> TaskScope {
     let epoch = EPOCH.load(Ordering::Relaxed);
     if epoch == 0 {

@@ -163,7 +163,7 @@ proptest! {
 // --- engine properties (self-contained: engine + graph + partition only) ---
 mod engine_properties {
     use hourglass::engine::apps::{coloring_is_proper, GraphColoring, PageRank};
-    use hourglass::engine::{BspEngine, ComputeContext, DeliveryMode, EngineConfig, VertexProgram};
+    use hourglass::engine::{BspEngine, ComputeContext, EngineConfig, VertexProgram};
     use hourglass::graph::{generators, Graph, VertexId};
     use hourglass::partition::hash::HashPartitioner;
     use hourglass::partition::Partitioner;
@@ -262,40 +262,6 @@ mod engine_properties {
             let gc_par = run_values(GraphColoring::default(), &g, k, true);
             prop_assert_eq!(&gc_seq, &gc_par, "threading must not change results");
             prop_assert!(coloring_is_proper(&g, &gc_seq));
-        }
-
-        /// Cache-blocked delivery is bit-identical to flat delivery — not
-        /// within an epsilon: the blocked scatter preserves per-slot
-        /// message order, so even float programs must agree exactly, in
-        /// both execution modes at every worker count.
-        #[test]
-        fn blocked_delivery_is_bit_identical_to_flat(
-            scale in 6u32..9,
-            seed in 0u64..20,
-            k in prop::sample::select(vec![1u32, 2, 4, 8]),
-            parallel in prop::sample::select(vec![false, true]),
-        ) {
-            let g = generators::rmat(scale, 8, generators::RmatParams::SOCIAL, seed)
-                .expect("generate");
-            let p = HashPartitioner.partition(&g, k).expect("partition");
-            let run_pr = |delivery: DeliveryMode| {
-                let config = EngineConfig { parallel, delivery, ..EngineConfig::default() };
-                let mut e = BspEngine::new(PageRank::fixed(10), &g, p.clone(), config)
-                    .expect("engine");
-                e.run().expect("run");
-                e.into_values()
-            };
-            let flat = run_pr(DeliveryMode::Flat);
-            prop_assert_eq!(&run_pr(DeliveryMode::Blocked), &flat, "blocked PageRank");
-            prop_assert_eq!(&run_pr(DeliveryMode::Auto), &flat, "auto PageRank");
-
-            let run_max = |delivery: DeliveryMode| {
-                let config = EngineConfig { parallel, delivery, ..EngineConfig::default() };
-                let mut e = BspEngine::new(MaxId, &g, p.clone(), config).expect("engine");
-                e.run().expect("run");
-                e.into_values()
-            };
-            prop_assert_eq!(run_max(DeliveryMode::Blocked), run_max(DeliveryMode::Flat));
         }
 
         /// Checkpointing at an arbitrary superstep and restoring onto an
