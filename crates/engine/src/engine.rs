@@ -10,6 +10,12 @@
 //! worker at send time (with sender-side combining when the program has a
 //! combiner), so the exchange phase is a matrix transpose of pointer
 //! swaps followed by per-destination parallel delivery.
+//!
+//! Which vertices run is one bit per slot, double-buffered like the
+//! inboxes: a superstep walks the set bits of the current bitmap in slot
+//! order and builds the next one (a vertex that stayed awake, a cell that
+//! got its first message), so its cost follows the frontier, not the slab,
+//! and termination is "no word set".
 
 use crate::metrics::{RunMetrics, SuperstepMetrics};
 use crate::program::{Aggregates, ComputeContext, VertexProgram};
@@ -47,7 +53,7 @@ pub struct ExecutionReport {
     pub supersteps: usize,
     /// Whether every vertex halted with no pending messages.
     pub converged: bool,
-    /// Total messages delivered.
+    /// Total messages sent: logical sends, counted before combining.
     pub total_messages: u64,
     /// Messages whose source and target lived on different workers.
     pub remote_messages: u64,
@@ -103,6 +109,15 @@ pub struct BspEngine<'g, P: VertexProgram> {
     /// Inboxes filled by delivery for the next superstep; swapped with
     /// `inbox` at the barrier (the double buffer).
     inbox_next: Vec<Vec<Vec<P::Message>>>,
+    /// Vertices that run this superstep, one bit per slot
+    /// (`active[worker][slot / 64] >> (slot % 64)`). Between steps a bit is
+    /// set exactly when the vertex has not voted to halt or has mail:
+    /// derived from `halted` and `inbox`, so never checkpointed.
+    active: Vec<Vec<u64>>,
+    /// The bitmap compute and delivery fill for the next superstep; swapped
+    /// with `active` at the barrier. All zero between steps: the kernel
+    /// clears each word of `active` as it consumes it.
+    active_next: Vec<Vec<u64>>,
     /// Per-source outgoing buckets: `outboxes[src][dest]`, entries
     /// addressed by destination slot.
     outboxes: BucketMatrix<P::Message>,
@@ -163,7 +178,13 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
                 .map(|_| (0..w).map(|_| Vec::new()).collect())
                 .collect()
         };
-        Ok(BspEngine {
+        let empty_bitmaps = || -> Vec<Vec<u64>> {
+            members
+                .iter()
+                .map(|ws| vec![0; ws.len().div_ceil(64)])
+                .collect()
+        };
+        let mut engine = BspEngine {
             program,
             graph,
             config,
@@ -171,6 +192,8 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
             halted,
             inbox: empty_inboxes(&members),
             inbox_next: empty_inboxes(&members),
+            active: empty_bitmaps(),
+            active_next: empty_bitmaps(),
             outboxes: empty_buckets(),
             delivery: empty_buckets(),
             members,
@@ -179,7 +202,23 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
             superstep: 0,
             prev_aggregates: Aggregates::new(),
             metrics: RunMetrics::default(),
-        })
+        };
+        engine.rebuild_active();
+        Ok(engine)
+    }
+
+    /// Derives `active` from `halted` and `inbox`. The only O(n) pass over
+    /// the bitmap's inputs: construction and state loads call it, `step`
+    /// maintains the bits incrementally.
+    fn rebuild_active(&mut self) {
+        for ((bits, hs), inbox) in self.active.iter_mut().zip(&self.halted).zip(&self.inbox) {
+            bits.fill(0);
+            for (slot, (&h, cell)) in hs.iter().zip(inbox).enumerate() {
+                if !h || !cell.is_empty() {
+                    bits[slot / 64] |= 1 << (slot % 64);
+                }
+            }
+        }
     }
 
     /// The superstep the engine will execute next.
@@ -228,8 +267,7 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
 
     /// Whether every vertex has halted and no messages are pending.
     pub fn is_done(&self) -> bool {
-        self.halted.iter().all(|hs| hs.iter().all(|&h| h))
-            && self.inbox.iter().all(|ws| ws.iter().all(|m| m.is_empty()))
+        self.active.iter().all(|bits| bits.iter().all(|&w| w == 0))
     }
 
     /// Executes one superstep; returns `true` when the computation is done.
@@ -257,25 +295,31 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
             .zip(self.values.iter_mut())
             .zip(self.halted.iter_mut())
             .zip(self.inbox.iter_mut())
+            .zip(self.active.iter_mut())
+            .zip(self.active_next.iter_mut())
             .zip(self.outboxes.iter_mut())
             .enumerate()
-            .map(|(worker, ((((ws, vals), hs), inbox), buckets))| {
-                move || {
-                    run_worker_slab::<P>(
-                        worker as u32,
-                        ws,
-                        vals,
-                        hs,
-                        inbox,
-                        buckets,
-                        program,
-                        graph,
-                        prev,
-                        superstep,
-                        route,
-                    )
-                }
-            })
+            .map(
+                |(worker, ((((((ws, vals), hs), inbox), active), active_next), buckets))| {
+                    move || {
+                        run_worker_slab::<P>(
+                            worker as u32,
+                            ws,
+                            vals,
+                            hs,
+                            inbox,
+                            active,
+                            active_next,
+                            buckets,
+                            program,
+                            graph,
+                            prev,
+                            superstep,
+                            route,
+                        )
+                    }
+                },
+            )
             .collect();
         let outs = fork_join(self.config.parallel, tasks);
 
@@ -316,11 +360,12 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
             .delivery
             .iter_mut()
             .zip(self.inbox_next.iter_mut())
+            .zip(self.active_next.iter_mut())
             .enumerate()
-            .map(|(dest, (rows, inbox))| {
+            .map(|(dest, ((rows, inbox), active_next))| {
                 move || {
                     let _span = obs::span("deliver", "engine").arg("worker", dest as u64);
-                    deliver_worker::<P>(program, rows, inbox)
+                    deliver_worker::<P>(program, rows, inbox, active_next)
                 }
             })
             .collect();
@@ -329,6 +374,7 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
         // Barrier: the filled buffers become current, the drained ones
         // become next superstep's delivery target.
         std::mem::swap(&mut self.inbox, &mut self.inbox_next);
+        std::mem::swap(&mut self.active, &mut self.active_next);
         let delivery_seconds = t_delivery.elapsed().as_secs_f64();
 
         let mut next_aggregates = Aggregates::new();
@@ -459,7 +505,15 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
             self.inbox[w][s] = msgs;
         }
         self.prev_aggregates = ckpt.prev_aggregates;
-        // Drop any in-flight buffers from the pre-restore execution…
+        self.finish_state_load();
+        Ok(())
+    }
+
+    /// The common tail of [`Self::restore_state`] and
+    /// [`Self::adopt_state_from`], once `halted` and `inbox` hold the loaded
+    /// state.
+    fn finish_state_load(&mut self) {
+        // Drop any in-flight buffers from the pre-load execution…
         for rows in &mut self.inbox_next {
             for cell in rows {
                 cell.clear();
@@ -470,10 +524,11 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
                 cell.clear();
             }
         }
-        // …and the metrics of supersteps the resumed run will re-execute,
-        // so totals are not double-counted.
+        // …re-derive who runs next from the loaded halt flags and mail…
+        self.rebuild_active();
+        // …and drop the metrics of supersteps the resumed run will
+        // re-execute, so totals are not double-counted.
         self.metrics.truncate_to_superstep(self.superstep);
-        Ok(())
     }
 
     /// Adopts the execution state of another engine over the same graph —
@@ -515,28 +570,17 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
                 }
             }
         }
-        // Drop any in-flight buffers from the pre-adopt state, exactly as
-        // a checkpoint restore would.
-        for rows in &mut self.inbox_next {
-            for cell in rows {
-                cell.clear();
-            }
-        }
-        for rows in self.outboxes.iter_mut().chain(self.delivery.iter_mut()) {
-            for cell in rows {
-                cell.clear();
-            }
-        }
-        self.metrics.truncate_to_superstep(self.superstep);
+        self.finish_state_load();
         Ok(())
     }
 }
 
 /// The worker kernel: computes one superstep for the vertices of a single
-/// worker, operating on the worker's own slabs (`vals[slot]`,
-/// `halted[slot]`, `inbox[slot]` aligned with `worker_vertices`).
-/// Inbox cells are drained in place — the buffers keep their capacity for
-/// the next time this worker receives messages.
+/// worker whose bit is set in `active`, operating on the worker's own slabs
+/// (`vals[slot]`, `halted[slot]`, `inbox[slot]` aligned with
+/// `worker_vertices`) and marking in `active_next` those that did not vote
+/// to halt. Inbox cells are drained in place — the buffers keep their
+/// capacity for the next time this worker receives messages.
 #[allow(clippy::too_many_arguments)]
 fn run_worker_slab<P: VertexProgram>(
     self_worker: u32,
@@ -544,6 +588,8 @@ fn run_worker_slab<P: VertexProgram>(
     vals: &mut [P::Value],
     halted: &mut [bool],
     inbox: &mut [Vec<P::Message>],
+    active: &mut [u64],
+    active_next: &mut [u64],
     buckets: &mut [Vec<(u32, P::Message)>],
     program: &P,
     graph: &Graph,
@@ -552,47 +598,59 @@ fn run_worker_slab<P: VertexProgram>(
     route: &[u64],
 ) -> WorkerOut {
     let t0 = Instant::now();
-    let _span = obs::span("compute", "engine")
+    let span = obs::span("compute", "engine")
         .arg("worker", self_worker as u64)
         .arg("superstep", superstep as u64)
         .arg("vertices", worker_vertices.len() as u64);
     let mut aggregates = Aggregates::new();
-    let mut active = 0u64;
+    let mut ran = 0u64;
     let mut sent = 0u64;
     let mut remote = 0u64;
     let combiner = |a: &P::Message, b: &P::Message| program.combine(a, b);
-    for (slot, &v) in worker_vertices.iter().enumerate() {
-        if halted[slot] && inbox[slot].is_empty() {
-            continue;
+    // Ascending words, ascending bits within a word: the same slot order a
+    // scan of the whole slab would visit, so bucket contents and aggregate
+    // fold order do not depend on how the frontier was found. Taking the
+    // word leaves this bitmap zeroed for its turn as the next one.
+    for (word_index, word) in active.iter_mut().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            let slot = word_index * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            halted[slot] = false;
+            ran += 1;
+            // Move the inbox cell out so the context can borrow the rest
+            // of the slabs mutably; hand the (cleared) buffer back
+            // afterwards.
+            let messages = std::mem::take(&mut inbox[slot]);
+            let mut ctx = ComputeContext {
+                vertex: worker_vertices[slot],
+                superstep,
+                graph,
+                prev_aggregates,
+                value: &mut vals[slot],
+                halted: &mut halted[slot],
+                buckets,
+                route,
+                self_worker,
+                combiner: &combiner,
+                sent: &mut sent,
+                remote: &mut remote,
+                next_aggregates: &mut aggregates,
+            };
+            program.compute(&mut ctx, &messages);
+            let mut messages = messages;
+            messages.clear();
+            inbox[slot] = messages;
+            if !halted[slot] {
+                active_next[slot / 64] |= 1 << (slot % 64);
+            }
         }
-        halted[slot] = false;
-        active += 1;
-        // Move the inbox cell out so the context can borrow the rest of
-        // the slabs mutably; hand the (cleared) buffer back afterwards.
-        let messages = std::mem::take(&mut inbox[slot]);
-        let mut ctx = ComputeContext {
-            vertex: v,
-            superstep,
-            graph,
-            prev_aggregates,
-            value: &mut vals[slot],
-            halted: &mut halted[slot],
-            buckets,
-            route,
-            self_worker,
-            combiner: &combiner,
-            sent: &mut sent,
-            remote: &mut remote,
-            next_aggregates: &mut aggregates,
-        };
-        program.compute(&mut ctx, &messages);
-        let mut messages = messages;
-        messages.clear();
-        inbox[slot] = messages;
     }
+    // Frontier size per worker per superstep: the trace shows its skew.
+    drop(span.arg("active", ran));
     WorkerOut {
         aggregates,
-        active,
+        active: ran,
         sent,
         remote,
         compute_seconds: t0.elapsed().as_secs_f64(),
@@ -603,11 +661,13 @@ fn run_worker_slab<P: VertexProgram>(
 /// Delivers one destination worker's incoming buckets (one per source, in
 /// source order) into its next-superstep inboxes, combining against the
 /// inbox tail when the program allows it. Bucket entries are already
-/// slot-addressed, so delivery indexes the inbox slab directly.
+/// slot-addressed, so delivery indexes the inbox slab directly. A cell's
+/// first message marks its vertex active for the next superstep.
 fn deliver_worker<P: VertexProgram>(
     program: &P,
     rows: &mut [Vec<(u32, P::Message)>],
     inbox: &mut [Vec<P::Message>],
+    active_next: &mut [u64],
 ) {
     for row in rows {
         for (slot, msg) in row.drain(..) {
@@ -617,6 +677,8 @@ fn deliver_worker<P: VertexProgram>(
                     *last = combined;
                     continue;
                 }
+            } else {
+                active_next[slot as usize / 64] |= 1 << (slot % 64);
             }
             cell.push(msg);
         }
@@ -768,6 +830,22 @@ mod tests {
         }
         assert!(trace.spans.iter().any(|s| s.name == "deliver"));
         assert!(trace.spans.iter().any(|s| s.name == "transpose"));
+        // Each compute span carries its worker's frontier size; per
+        // superstep they add up to the recorded active-vertex count.
+        let arg = |s: &obs::SpanRecord, key: &str| {
+            let found = s.args.pairs().iter().find(|(k, _)| *k == key);
+            found.map(|&(_, v)| v)
+        };
+        for step in report.metrics.steps() {
+            let superstep = Some(step.superstep as u64);
+            let frontier: u64 = trace
+                .spans
+                .iter()
+                .filter(|s| s.name == "compute" && arg(s, "superstep") == superstep)
+                .map(|s| arg(s, "active").expect("compute span has an `active` arg"))
+                .sum();
+            assert_eq!(frontier, step.active_vertices, "at {superstep:?}");
+        }
         // Compute span time is consistent with the recorded metric.
         let compute_total = trace.total_seconds("compute");
         let metric_total = report.metrics.total_worker_seconds();
@@ -851,6 +929,136 @@ mod tests {
         let a = BspEngine::new(MaxId, &g1, p1, EngineConfig::default()).expect("engine");
         let mut b = BspEngine::new(MaxId, &g2, p2, EngineConfig::default()).expect("engine");
         assert!(b.adopt_state_from(&a).is_err());
+    }
+
+    /// The bitmap is derived state: between steps a bit is set exactly when
+    /// the vertex is awake or has mail, no bit lies past the slab, and the
+    /// next bitmap is blank.
+    fn assert_active_invariant<P: VertexProgram>(e: &BspEngine<'_, P>) {
+        for w in 0..e.members.len() {
+            let mut expected = 0;
+            for slot in 0..e.members[w].len() {
+                let bit = e.active[w][slot / 64] >> (slot % 64) & 1 == 1;
+                let runs = !e.halted[w][slot] || !e.inbox[w][slot].is_empty();
+                assert_eq!(bit, runs, "worker {w} slot {slot}");
+                expected += u32::from(runs);
+            }
+            let set: u32 = e.active[w].iter().map(|x| x.count_ones()).sum();
+            assert_eq!(set, expected, "worker {w} has bits past its slab");
+            assert!(e.active_next[w].iter().all(|&x| x == 0), "worker {w}");
+        }
+    }
+
+    /// Steps to completion, checking the invariant before and after every
+    /// superstep; returns the `active_vertices` sequence of those steps.
+    fn run_checked<P: VertexProgram>(e: &mut BspEngine<'_, P>) -> Vec<u64> {
+        let first = e.metrics().steps().len();
+        assert_active_invariant(e);
+        while !e.is_done() {
+            e.step().expect("step");
+            assert_active_invariant(e);
+        }
+        let steps = &e.metrics().steps()[first..];
+        steps.iter().map(|s| s.active_vertices).collect()
+    }
+
+    fn sssp_on<'g>(g: &'g Graph, k: u32) -> BspEngine<'g, crate::apps::Sssp> {
+        let p = HashPartitioner.partition(g, k).expect("partition");
+        let program = crate::apps::Sssp { source: 7 };
+        BspEngine::new(program, g, p, EngineConfig::default()).expect("engine")
+    }
+
+    #[test]
+    fn sparse_phase_checkpoint_resumes_the_same_frontier_on_another_k() {
+        // SSSP on a ring: 150 supersteps whose frontier is the two wavefront
+        // vertices plus the two behind them that their messages wake.
+        let g = ring(300);
+        let mut whole = sssp_on(&g, 2);
+        let frontier = run_checked(&mut whole);
+        assert!(frontier.len() > 100 && frontier[1..].iter().all(|&a| a <= 4));
+
+        let cut = 40;
+        let mut a = sssp_on(&g, 2);
+        for _ in 0..cut {
+            a.step().expect("step");
+        }
+        for k in [1u32, 2, 3, 5] {
+            let mut restored = sssp_on(&g, k);
+            restored
+                .restore_state(a.checkpoint_state())
+                .expect("restore");
+            let mut adopted = sssp_on(&g, k);
+            adopted.adopt_state_from(&a).expect("adopt");
+            for mut e in [restored, adopted] {
+                assert_eq!(run_checked(&mut e), frontier[cut..], "k={k}");
+                assert_eq!(e.values(), whole.values(), "k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn finished_checkpoint_restores_as_done() {
+        let g = ring(100);
+        let mut a = sssp_on(&g, 2);
+        let report = a.run().expect("run");
+        // A fresh engine is born with every vertex active; the load must
+        // clear that, not only add to it.
+        let mut b = sssp_on(&g, 3);
+        assert!(!b.is_done());
+        b.restore_state(a.checkpoint_state()).expect("restore");
+        assert_active_invariant(&b);
+        assert!(b.is_done());
+        assert_eq!(b.run().expect("run").supersteps, report.supersteps);
+        assert_eq!(b.values(), a.values());
+    }
+
+    #[test]
+    fn bitmap_tail_words_and_empty_workers() {
+        // Slab lengths on both sides of a word boundary, and more workers
+        // than vertices (k > n leaves some with no slab at all).
+        for (n, k) in [
+            (5usize, 8u32),
+            (64, 1),
+            (65, 1),
+            (130, 1),
+            (130, 3),
+            (200, 8),
+        ] {
+            let g = ring(n);
+            let p =
+                Partitioning::new((0..n as u32).map(|v| v % k).collect(), k).expect("partition");
+            let mut e = BspEngine::new(MaxId, &g, p, EngineConfig::default()).expect("engine");
+            let frontier = run_checked(&mut e);
+            assert_eq!(frontier, [n as u64, n as u64], "n={n} k={k}");
+            for (v, &got) in e.values().iter().enumerate() {
+                let (prev, next) = ((v + n - 1) % n, (v + 1) % n);
+                assert_eq!(got as usize, v.max(prev).max(next), "n={n} k={k} v={v}");
+            }
+        }
+    }
+
+    #[test]
+    fn awake_vertices_run_again_without_mail() {
+        /// Counts its value down to zero, one per superstep, silently.
+        struct Countdown;
+        impl VertexProgram for Countdown {
+            type Value = u32;
+            type Message = u32;
+            fn init(&self, v: VertexId, _: &Graph) -> u32 {
+                v % 4
+            }
+            fn compute(&self, ctx: &mut ComputeContext<'_, u32, u32>, _m: &[u32]) {
+                match *ctx.value_ref() {
+                    0 => ctx.vote_to_halt(),
+                    left => *ctx.value() = left - 1,
+                }
+            }
+        }
+        let g = ring(200);
+        let p = HashPartitioner.partition(&g, 3).expect("partition");
+        let mut e = BspEngine::new(Countdown, &g, p, EngineConfig::default()).expect("engine");
+        assert_eq!(run_checked(&mut e), [200, 150, 100, 50]);
+        assert!(e.values().iter().all(|&left| left == 0));
     }
 
     #[test]

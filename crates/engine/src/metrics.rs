@@ -11,10 +11,10 @@ pub static M_SUPERSTEPS: hm::FamilyDesc = hm::FamilyDesc {
     buckets: &[],
     nondeterministic: false,
 };
-/// Messages delivered between vertices (after combining).
+/// Messages vertices sent: logical sends, counted before combining.
 pub static M_MESSAGES: hm::FamilyDesc = hm::FamilyDesc {
     name: "hourglass_engine_messages_total",
-    help: "Messages delivered between vertices.",
+    help: "Messages sent between vertices (logical sends, before combining).",
     kind: hm::MetricKind::Counter,
     buckets: &[],
     nondeterministic: false,
@@ -84,9 +84,10 @@ pub struct SuperstepMetrics {
     pub superstep: usize,
     /// Vertices that executed `compute`.
     pub active_vertices: u64,
-    /// Messages sent.
+    /// Messages sent: logical sends, counted before combining (a combiner
+    /// delivers fewer).
     pub messages: u64,
-    /// Messages that crossed workers.
+    /// Of those, sends addressed to a vertex on another worker.
     pub remote_messages: u64,
     /// Compute seconds of the slowest worker (the BSP barrier waits for
     /// it, so this is the superstep's contribution to wall time).

@@ -162,9 +162,11 @@ proptest! {
 
 // --- engine properties (self-contained: engine + graph + partition only) ---
 mod engine_properties {
-    use hourglass::engine::apps::{coloring_is_proper, GraphColoring, PageRank};
+    use hourglass::engine::apps::{
+        coloring_is_proper, Bfs, ColorState, GraphColoring, PageRank, Sssp, Wcc,
+    };
     use hourglass::engine::{BspEngine, ComputeContext, EngineConfig, VertexProgram};
-    use hourglass::graph::{generators, Graph, VertexId};
+    use hourglass::graph::{generators, Graph, GraphBuilder, VertexId};
     use hourglass::partition::hash::HashPartitioner;
     use hourglass::partition::Partitioner;
     use proptest::prelude::*;
@@ -230,6 +232,314 @@ mod engine_properties {
             .zip(b)
             .map(|(x, y)| (x - y).abs())
             .fold(0.0f64, f64::max)
+    }
+
+    // --- the engine against a Pregel loop that shares none of its code ---
+
+    /// A wave of `ttl` hops out of `source`. Every vertex votes to halt in
+    /// every superstep and is woken again each time the wave washes back
+    /// over it; without a combiner the value (messages ever received)
+    /// depends on every single delivery.
+    struct Ripple {
+        source: VertexId,
+        ttl: u32,
+    }
+
+    impl VertexProgram for Ripple {
+        type Value = u32;
+        type Message = u32;
+
+        fn init(&self, _v: VertexId, _g: &Graph) -> u32 {
+            0
+        }
+
+        fn compute(&self, ctx: &mut ComputeContext<'_, u32, u32>, mail: &[u32]) {
+            *ctx.value() += mail.len() as u32;
+            if ctx.superstep == 0 && ctx.vertex == self.source {
+                ctx.send_to_neighbors(self.ttl);
+            } else if let Some(&hops) = mail.iter().max().filter(|&&hops| hops > 0) {
+                ctx.send_to_neighbors(hops - 1);
+            }
+            ctx.vote_to_halt();
+        }
+    }
+
+    /// What a run produced, whoever ran it.
+    #[derive(Debug, PartialEq)]
+    struct Outcome<V> {
+        values: Vec<V>,
+        supersteps: usize,
+        messages: u64,
+        /// Vertices that computed, per superstep.
+        active: Vec<u64>,
+    }
+
+    /// What a vertex of the naive loop sees besides its value and mail.
+    struct Cx<'a, M> {
+        g: &'a Graph,
+        superstep: usize,
+        v: VertexId,
+        out: &'a mut Vec<(VertexId, M)>,
+        /// The one sum aggregate: last superstep's total, this one's so far.
+        prev_sum: f64,
+        next_sum: &'a mut f64,
+    }
+
+    impl<M: Clone> Cx<'_, M> {
+        fn starts_at(&self, source: VertexId) -> bool {
+            self.superstep == 0 && self.v == source
+        }
+
+        fn send_all(&mut self, m: M) {
+            for &t in self.g.neighbors(self.v) {
+                self.out.push((t, m.clone()));
+            }
+        }
+    }
+
+    /// Pregel by the book: state in global vertex order, every vertex
+    /// examined in every superstep, every message appended uncombined to its
+    /// target's next inbox. `compute` returns the vote to halt.
+    fn naive_pregel<V, M: Clone>(
+        g: &Graph,
+        init: impl Fn(VertexId) -> V,
+        compute: impl Fn(&mut Cx<'_, M>, &mut V, &[M]) -> bool,
+    ) -> Outcome<V> {
+        let n = g.num_vertices();
+        let mut values: Vec<V> = (0..n as VertexId).map(init).collect();
+        let mut halted = vec![false; n];
+        let mut inbox: Vec<Vec<M>> = vec![Vec::new(); n];
+        let (mut messages, mut active, mut prev_sum) = (0, Vec::new(), 0.0);
+        while (0..n).any(|v| !halted[v] || !inbox[v].is_empty()) {
+            let mut next: Vec<Vec<M>> = vec![Vec::new(); n];
+            let (mut ran, mut next_sum, mut out) = (0, 0.0, Vec::new());
+            for v in 0..n {
+                if halted[v] && inbox[v].is_empty() {
+                    continue;
+                }
+                ran += 1;
+                let mut cx = Cx {
+                    g,
+                    superstep: active.len(),
+                    v: v as VertexId,
+                    out: &mut out,
+                    prev_sum,
+                    next_sum: &mut next_sum,
+                };
+                halted[v] = compute(&mut cx, &mut values[v], &inbox[v]);
+                messages += out.len() as u64;
+                for (t, m) in out.drain(..) {
+                    next[t as usize].push(m);
+                }
+            }
+            (inbox, prev_sum) = (next, next_sum);
+            active.push(ran);
+        }
+        Outcome {
+            values,
+            supersteps: active.len(),
+            messages,
+            active,
+        }
+    }
+
+    fn engine_outcome<P: VertexProgram>(
+        program: P,
+        g: &Graph,
+        k: u32,
+        parallel: bool,
+    ) -> Outcome<P::Value> {
+        let mut e = engine_on(program, g, k, parallel);
+        let report = e.run().expect("run");
+        let steps = report.metrics.steps();
+        Outcome {
+            supersteps: report.supersteps,
+            messages: report.total_messages,
+            active: steps.iter().map(|s| s.active_vertices).collect(),
+            values: e.into_values(),
+        }
+    }
+
+    /// Textbook queue BFS: hop counts from `source`, ∞ where unreachable.
+    fn queue_bfs(g: &Graph, source: VertexId) -> Vec<f64> {
+        let mut dist = vec![f64::INFINITY; g.num_vertices()];
+        dist[source as usize] = 0.0;
+        let mut queue = std::collections::VecDeque::from([source]);
+        while let Some(v) = queue.pop_front() {
+            for &t in g.neighbors(v) {
+                if dist[t as usize].is_infinite() {
+                    dist[t as usize] = dist[v as usize] + 1.0;
+                    queue.push_back(t);
+                }
+            }
+        }
+        dist
+    }
+
+    /// `GraphColoring`'s round priority (SplitMix64 over seed, vertex and
+    /// round). The coloring is defined by it, so the naive program has to
+    /// draw the same numbers.
+    fn coloring_priority(seed: u64, v: VertexId, round: usize) -> u64 {
+        let mut x = seed
+            .wrapping_add((v as u64) << 32)
+            .wrapping_add(round as u64)
+            .wrapping_add(0x9E37_79B9_7F4A_7C15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    /// Values, superstep count, messages sent and the active-vertex count of
+    /// every superstep agree with the naive loop, at every worker count and
+    /// in both execution modes: frontier programs that sleep and are woken
+    /// by mail (Sssp, Bfs, Wcc, MaxId, Ripple), one without a combiner that
+    /// stays awake until decided (GraphColoring), one that never sleeps
+    /// until its last superstep (PageRank).
+    #[test]
+    fn engine_agrees_with_a_naive_pregel_loop() {
+        let mut path = GraphBuilder::undirected(37);
+        for v in 1..37 {
+            path.add_edge(v - 1, v);
+        }
+        let graphs = [
+            path.build().expect("path"),
+            generators::watts_strogatz(150, 4, 0.05, 3).expect("ring"),
+            generators::rmat(6, 8, generators::RmatParams::SOCIAL, 11).expect("rmat"),
+        ];
+        for g in &graphs {
+            let n = g.num_vertices() as f64;
+            let source = g.num_vertices() as VertexId / 3;
+            let (ttl, iterations) = (5, 6);
+            let sssp = naive_pregel(
+                g,
+                |v| if v == source { 0.0 } else { f64::INFINITY },
+                |cx, dist: &mut f64, mail: &[f64]| {
+                    let best = mail.iter().copied().fold(f64::INFINITY, f64::min);
+                    if best < *dist || cx.starts_at(source) {
+                        *dist = dist.min(best);
+                        cx.send_all(*dist + 1.0);
+                    }
+                    true
+                },
+            );
+            assert_eq!(sssp.values, queue_bfs(g, source));
+            let bfs = naive_pregel(
+                g,
+                |v| if v == source { 0 } else { u32::MAX },
+                |cx, level: &mut u32, mail: &[u32]| {
+                    let best = mail.iter().copied().min().unwrap_or(u32::MAX);
+                    if best < *level || cx.starts_at(source) {
+                        *level = (*level).min(best);
+                        cx.send_all(level.saturating_add(1));
+                    }
+                    true
+                },
+            );
+            let wcc = naive_pregel(
+                g,
+                |v| v,
+                |cx, label: &mut u32, mail: &[u32]| {
+                    let low = mail.iter().copied().min().unwrap_or(u32::MAX);
+                    if cx.superstep == 0 || low < *label {
+                        *label = (*label).min(low);
+                        cx.send_all(*label);
+                    }
+                    true
+                },
+            );
+            let max_id = naive_pregel(
+                g,
+                |v| v,
+                |cx, best: &mut u32, mail: &[u32]| {
+                    if cx.superstep == 0 {
+                        cx.send_all(*best);
+                    }
+                    *best = mail.iter().copied().fold(*best, u32::max);
+                    true
+                },
+            );
+            let ripple = naive_pregel(
+                g,
+                |_| 0,
+                |cx, received: &mut u32, mail: &[u32]| {
+                    *received += mail.len() as u32;
+                    match mail.iter().max() {
+                        _ if cx.starts_at(source) => cx.send_all(ttl),
+                        Some(&hops) if hops > 0 => cx.send_all(hops - 1),
+                        _ => {}
+                    }
+                    true
+                },
+            );
+            let seed = GraphColoring::default().seed;
+            let coloring = naive_pregel(
+                g,
+                |_| ColorState { color: u32::MAX },
+                |cx, state: &mut ColorState, mail: &[(u64, u32)]| {
+                    if state.is_colored() {
+                        return true;
+                    }
+                    if cx.superstep > 0 {
+                        let round = cx.superstep - 1;
+                        let mine = (coloring_priority(seed, cx.v, round), cx.v);
+                        if mail.iter().all(|&theirs| mine < theirs) {
+                            state.color = round as u32;
+                            return true;
+                        }
+                    }
+                    cx.send_all((coloring_priority(seed, cx.v, cx.superstep), cx.v));
+                    false
+                },
+            );
+            assert!(coloring_is_proper(g, &coloring.values));
+            let pagerank = naive_pregel(
+                g,
+                |_| 1.0 / n,
+                |cx, rank: &mut f64, mail: &[f64]| {
+                    if cx.superstep > 0 {
+                        let sum: f64 = mail.iter().sum();
+                        *rank = 0.15 / n + 0.85 * (sum + cx.prev_sum / n);
+                    }
+                    let degree = cx.g.degree(cx.v);
+                    if cx.superstep == iterations {
+                        return true;
+                    } else if degree > 0 {
+                        cx.send_all(*rank / degree as f64);
+                    } else {
+                        *cx.next_sum += *rank;
+                    }
+                    false
+                },
+            );
+            assert_eq!(
+                pagerank.active,
+                vec![g.num_vertices() as u64; iterations + 1]
+            );
+
+            for k in [1u32, 2, 3, 8] {
+                for parallel in [false, true] {
+                    let at = format!("n={n} k={k} parallel={parallel}");
+                    assert_eq!(
+                        engine_outcome(Sssp { source }, g, k, parallel),
+                        sssp,
+                        "{at}"
+                    );
+                    assert_eq!(engine_outcome(Bfs { source }, g, k, parallel), bfs, "{at}");
+                    assert_eq!(engine_outcome(Wcc, g, k, parallel), wcc, "{at}");
+                    assert_eq!(engine_outcome(MaxId, g, k, parallel), max_id, "{at}");
+                    let program = Ripple { source, ttl };
+                    assert_eq!(engine_outcome(program, g, k, parallel), ripple, "{at}");
+                    let program = GraphColoring::default();
+                    assert_eq!(engine_outcome(program, g, k, parallel), coloring, "{at}");
+                    // Rank sums fold in a different order at every k, so the
+                    // values agree to rounding; the counts agree exactly.
+                    let mut got = engine_outcome(PageRank::fixed(iterations), g, k, parallel);
+                    assert!(max_abs_diff(&got.values, &pagerank.values) < 1e-12, "{at}");
+                    got.values.clone_from(&pagerank.values);
+                    assert_eq!(got, pagerank, "{at}");
+                }
+            }
+        }
     }
 
     proptest! {
