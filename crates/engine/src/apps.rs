@@ -95,8 +95,8 @@ impl VertexProgram for PageRank {
         }
     }
 
-    fn combine(&self, a: &f64, b: &f64) -> Option<f64> {
-        Some(a + b)
+    fn combiner(&self) -> Option<fn(&f64, &f64) -> f64> {
+        Some(|a, b| a + b)
     }
 
     fn name(&self) -> &'static str {
@@ -144,8 +144,8 @@ impl VertexProgram for Sssp {
         ctx.vote_to_halt();
     }
 
-    fn combine(&self, a: &f64, b: &f64) -> Option<f64> {
-        Some(a.min(*b))
+    fn combiner(&self) -> Option<fn(&f64, &f64) -> f64> {
+        Some(|a, b| a.min(*b))
     }
 
     fn name(&self) -> &'static str {
@@ -275,8 +275,8 @@ impl VertexProgram for Wcc {
         ctx.vote_to_halt();
     }
 
-    fn combine(&self, a: &u32, b: &u32) -> Option<u32> {
-        Some(*a.min(b))
+    fn combiner(&self) -> Option<fn(&u32, &u32) -> u32> {
+        Some(|a, b| *a.min(b))
     }
 
     fn name(&self) -> &'static str {
@@ -319,8 +319,8 @@ impl VertexProgram for Bfs {
         ctx.vote_to_halt();
     }
 
-    fn combine(&self, a: &u32, b: &u32) -> Option<u32> {
-        Some(*a.min(b))
+    fn combiner(&self) -> Option<fn(&u32, &u32) -> u32> {
+        Some(|a, b| *a.min(b))
     }
 
     fn name(&self) -> &'static str {

@@ -4,21 +4,30 @@
 //! values and halt flags live in one slab per worker, indexed by a
 //! `(worker, slot)` pair derived once from the partitioning. Each
 //! superstep the workers operate on `&mut` disjoint slabs — nothing is
-//! cloned in or out — and message queues are double-buffered: vertices
-//! read the current inbox while delivery fills the next one, and the two
-//! swap at the barrier. Outgoing messages are bucketed per destination
-//! worker at send time (with sender-side combining when the program has a
-//! combiner), so the exchange phase is a matrix transpose of pointer
-//! swaps followed by per-destination parallel delivery.
+//! cloned in or out. Compute empties every inbox cell it reads, so
+//! delivery refills the same inboxes after the join.
 //!
-//! Which vertices run is one bit per slot, double-buffered like the
-//! inboxes: a superstep walks the set bits of the current bitmap in slot
-//! order and builds the next one (a vertex that stayed awake, a cell that
-//! got its first message), so its cost follows the frontier, not the slab,
-//! and termination is "no word set".
+//! Mail comes in two kinds, chosen by whether the program declares a
+//! combiner. With one, mailboxes are *folded*: every sender keeps one
+//! combined message per target vertex (a slab indexed by global vertex id,
+//! a presence bitmap and, per destination worker, the list of targets in
+//! first-send order), every receiver one per slot, and delivery for a
+//! destination walks the senders' lists in worker order through a shared
+//! borrow — nothing is transposed, nothing allocated per vertex, and the
+//! cost follows the touched targets. A cell folds per sender in send order
+//! (ascending slot, then adjacency order), then across senders in worker
+//! order. Without a combiner, messages are bucketed per destination worker
+//! at send time, the exchange is a matrix transpose of pointer swaps, and
+//! inbox cells are lists.
+//!
+//! Which vertices run is one bit per slot, double-buffered: a superstep
+//! walks the set bits of the current bitmap in slot order and builds the
+//! next one (a vertex that stayed awake, a cell that got its first
+//! message), so its cost follows the frontier, not the slab, and
+//! termination is "no word set".
 
 use crate::metrics::{RunMetrics, SuperstepMetrics};
-use crate::program::{Aggregates, ComputeContext, VertexProgram};
+use crate::program::{Aggregates, Combiner, ComputeContext, Outbox, VertexProgram};
 use crate::{EngineError, Result};
 use hourglass_exec::fork_join;
 use hourglass_graph::{Graph, VertexId};
@@ -86,8 +95,83 @@ pub struct EngineCheckpoint<V, M> {
 /// worker.
 type Bucket<M> = Vec<(u32, M)>;
 
-/// The `w×w` bucket matrix exchanged between compute and delivery.
-type BucketMatrix<M> = Vec<Vec<Bucket<M>>>;
+/// One worker's incoming mail; the kind matches the run's [`Outbox`]es.
+#[derive(Clone)]
+enum Inbox<M> {
+    /// At most one folded message per slot: `vals[slot]` is mail exactly
+    /// when bit `slot` of `has` is set. `vals` is empty until the worker's
+    /// first delivery, then covers every bit of `has`.
+    Folded {
+        combine: Combiner<M>,
+        vals: Vec<M>,
+        has: Vec<u64>,
+    },
+    /// A list per slot, in delivery order.
+    Lists(Vec<Vec<M>>),
+}
+
+impl<M: Clone> Inbox<M> {
+    fn new(combiner: Option<Combiner<M>>, slots: usize) -> Self {
+        match combiner {
+            Some(combine) => Inbox::Folded {
+                combine,
+                vals: Vec::new(),
+                has: vec![0; slots.div_ceil(64)],
+            },
+            None => Inbox::Lists(vec![Vec::new(); slots]),
+        }
+    }
+
+    /// The messages waiting for `slot`.
+    fn mail(&self, slot: usize) -> &[M] {
+        match self {
+            Inbox::Folded { vals, has, .. } if has[slot / 64] >> (slot % 64) & 1 == 1 => {
+                std::slice::from_ref(&vals[slot])
+            }
+            Inbox::Folded { .. } => &[],
+            Inbox::Lists(cells) => &cells[slot],
+        }
+    }
+
+    /// Adds `msg` to the cell of `slot`; `true` when the cell was empty.
+    fn put(&mut self, slot: usize, msg: M) -> bool {
+        match self {
+            Inbox::Folded { combine, vals, has } => {
+                let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+                let empty = has[word] & bit == 0;
+                if empty {
+                    if vals.is_empty() {
+                        vals.resize(has.len() * 64, msg.clone());
+                    }
+                    has[word] |= bit;
+                    vals[slot] = msg;
+                } else {
+                    vals[slot] = combine(&vals[slot], &msg);
+                }
+                empty
+            }
+            Inbox::Lists(cells) => {
+                cells[slot].push(msg);
+                cells[slot].len() == 1
+            }
+        }
+    }
+
+    /// Empties the cell of `slot` (list cells keep their capacity).
+    fn clear(&mut self, slot: usize) {
+        match self {
+            Inbox::Folded { has, .. } => has[slot / 64] &= !(1 << (slot % 64)),
+            Inbox::Lists(cells) => cells[slot].clear(),
+        }
+    }
+
+    fn clear_all(&mut self) {
+        match self {
+            Inbox::Folded { has, .. } => has.fill(0),
+            Inbox::Lists(cells) => cells.iter_mut().for_each(Vec::clear),
+        }
+    }
+}
 
 /// A Pregel-style synchronous engine over a shared immutable graph.
 pub struct BspEngine<'g, P: VertexProgram> {
@@ -104,11 +188,13 @@ pub struct BspEngine<'g, P: VertexProgram> {
     values: Vec<Vec<P::Value>>,
     /// Worker-major halt flags.
     halted: Vec<Vec<bool>>,
-    /// Inboxes read this superstep: `inbox[worker][slot]`.
-    inbox: Vec<Vec<Vec<P::Message>>>,
-    /// Inboxes filled by delivery for the next superstep; swapped with
-    /// `inbox` at the barrier (the double buffer).
-    inbox_next: Vec<Vec<Vec<P::Message>>>,
+    /// Neighbors of `members[worker][slot]` owned by another worker: what a
+    /// `send_to_neighbors` adds to the remote-message count. Derived from
+    /// graph and partitioning, so never checkpointed.
+    remote_degree: Vec<Vec<u32>>,
+    /// Per-worker inboxes: read and emptied by compute, refilled by
+    /// delivery.
+    inbox: Vec<Inbox<P::Message>>,
     /// Vertices that run this superstep, one bit per slot
     /// (`active[worker][slot / 64] >> (slot % 64)`). Between steps a bit is
     /// set exactly when the vertex has not voted to halt or has mail:
@@ -118,13 +204,13 @@ pub struct BspEngine<'g, P: VertexProgram> {
     /// with `active` at the barrier. All zero between steps: the kernel
     /// clears each word of `active` as it consumes it.
     active_next: Vec<Vec<u64>>,
-    /// Per-source outgoing buckets: `outboxes[src][dest]`, entries
-    /// addressed by destination slot.
-    outboxes: BucketMatrix<P::Message>,
+    /// Per-source outgoing mail. Folded outboxes keep a superstep's mail
+    /// until their worker's next compute resets them.
+    outboxes: Vec<Outbox<P::Message>>,
     /// Transposed buckets awaiting delivery: `delivery[dest][src]`. The
-    /// cells ping-pong with `outboxes` via `mem::swap`, so bucket
-    /// capacity is reused across supersteps.
-    delivery: BucketMatrix<P::Message>,
+    /// cells ping-pong with the bucket outboxes via `mem::swap`, so bucket
+    /// capacity is reused across supersteps; unused by folded mail.
+    delivery: Vec<Vec<Bucket<P::Message>>>,
     superstep: usize,
     prev_aggregates: Aggregates,
     metrics: RunMetrics,
@@ -167,17 +253,24 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
             .map(|ws| ws.iter().map(|&v| program.init(v, graph)).collect())
             .collect();
         let halted = members.iter().map(|ws| vec![false; ws.len()]).collect();
-        let empty_inboxes = |members: &[Vec<VertexId>]| -> Vec<Vec<Vec<P::Message>>> {
-            members
-                .iter()
-                .map(|ws| (0..ws.len()).map(|_| Vec::new()).collect())
-                .collect()
-        };
-        let empty_buckets = || -> BucketMatrix<P::Message> {
-            (0..w)
-                .map(|_| (0..w).map(|_| Vec::new()).collect())
-                .collect()
-        };
+        let combiner = program.combiner();
+        let n = graph.num_vertices();
+        let remote_degree = members
+            .iter()
+            .map(|ws| {
+                // One bit per vertex, "is it this worker's": an O(edges)
+                // pass of random reads that stay in cache, where the owner
+                // table (4 B per vertex) would not.
+                let mut mine = vec![0u64; n.div_ceil(64)];
+                for &v in ws {
+                    mine[v as usize / 64] |= 1 << (v % 64);
+                }
+                let is_remote = |&&t: &&VertexId| mine[t as usize / 64] >> (t % 64) & 1 == 0;
+                ws.iter()
+                    .map(|&v| graph.neighbors(v).iter().filter(is_remote).count() as u32)
+                    .collect()
+            })
+            .collect();
         let empty_bitmaps = || -> Vec<Vec<u64>> {
             members
                 .iter()
@@ -190,12 +283,15 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
             config,
             values,
             halted,
-            inbox: empty_inboxes(&members),
-            inbox_next: empty_inboxes(&members),
+            remote_degree,
+            inbox: members
+                .iter()
+                .map(|ws| Inbox::new(combiner, ws.len()))
+                .collect(),
             active: empty_bitmaps(),
             active_next: empty_bitmaps(),
-            outboxes: empty_buckets(),
-            delivery: empty_buckets(),
+            outboxes: (0..w).map(|_| Outbox::new(combiner, n, w)).collect(),
+            delivery: vec![vec![Vec::new(); w]; w],
             members,
             route,
             partitioning,
@@ -213,8 +309,8 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
     fn rebuild_active(&mut self) {
         for ((bits, hs), inbox) in self.active.iter_mut().zip(&self.halted).zip(&self.inbox) {
             bits.fill(0);
-            for (slot, (&h, cell)) in hs.iter().zip(inbox).enumerate() {
-                if !h || !cell.is_empty() {
+            for (slot, &h) in hs.iter().enumerate() {
+                if !h || !inbox.mail(slot).is_empty() {
                     bits[slot / 64] |= 1 << (slot % 64);
                 }
             }
@@ -281,9 +377,9 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
             .arg("workers", w as u64);
 
         // Compute phase: one task per worker, each owning its slab of
-        // values/halt flags, its inbox rows (drained in place) and its
-        // outgoing buckets. The sequential path runs the same closures in
-        // worker order, so both paths are behaviorally identical.
+        // values/halt flags, its inbox (emptied in place) and its outbox.
+        // The sequential path runs the same closures in worker order, so
+        // both paths are behaviorally identical.
         let program = &self.program;
         let graph = self.graph;
         let prev = &self.prev_aggregates;
@@ -294,23 +390,25 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
             .iter()
             .zip(self.values.iter_mut())
             .zip(self.halted.iter_mut())
+            .zip(&self.remote_degree)
             .zip(self.inbox.iter_mut())
             .zip(self.active.iter_mut())
             .zip(self.active_next.iter_mut())
             .zip(self.outboxes.iter_mut())
             .enumerate()
             .map(
-                |(worker, ((((((ws, vals), hs), inbox), active), active_next), buckets))| {
+                |(worker, (((((((ws, vals), hs), rd), inbox), active), active_next), outbox))| {
                     move || {
                         run_worker_slab::<P>(
                             worker as u32,
                             ws,
                             vals,
                             hs,
+                            rd,
                             inbox,
                             active,
                             active_next,
-                            buckets,
+                            outbox,
                             program,
                             graph,
                             prev,
@@ -343,37 +441,42 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
             }
         }
 
-        // Exchange phase: transpose the bucket matrix with pointer swaps
-        // (outboxes[src][dest] ↔ delivery[dest][src]), then deliver each
-        // destination's buckets in parallel, draining them in source order
-        // into the next-superstep inboxes.
+        // Exchange phase: bucket outboxes are transposed with pointer swaps
+        // (outboxes[src][dest] ↔ delivery[dest][src]), folded ones are read
+        // in place; then every destination takes its mail from the sources
+        // in worker order, in parallel, into the inboxes compute emptied.
         let t_delivery = Instant::now();
-        {
+        if program.combiner().is_none() {
             let _transpose_span = obs::span("transpose", "engine");
-            for src in 0..w {
-                for dest in 0..w {
-                    std::mem::swap(&mut self.outboxes[src][dest], &mut self.delivery[dest][src]);
+            for (src, outbox) in self.outboxes.iter_mut().enumerate() {
+                let Outbox::Buckets(buckets) = outbox else {
+                    continue;
+                };
+                for (dest, bucket) in buckets.iter_mut().enumerate() {
+                    std::mem::swap(bucket, &mut self.delivery[dest][src]);
                 }
             }
         }
+        let outboxes = &self.outboxes;
         let delivery_tasks: Vec<_> = self
             .delivery
             .iter_mut()
-            .zip(self.inbox_next.iter_mut())
+            .zip(self.inbox.iter_mut())
             .zip(self.active_next.iter_mut())
             .enumerate()
             .map(|(dest, ((rows, inbox), active_next))| {
                 move || {
-                    let _span = obs::span("deliver", "engine").arg("worker", dest as u64);
-                    deliver_worker::<P>(program, rows, inbox, active_next)
+                    let span = obs::span("deliver", "engine")
+                        .arg("worker", dest as u64)
+                        .arg("superstep", superstep as u64);
+                    let touched = deliver_worker(dest, outboxes, rows, inbox, active_next);
+                    drop(span.arg("touched", touched));
                 }
             })
             .collect();
         fork_join(self.config.parallel, delivery_tasks);
 
-        // Barrier: the filled buffers become current, the drained ones
-        // become next superstep's delivery target.
-        std::mem::swap(&mut self.inbox, &mut self.inbox_next);
+        // Barrier: the bitmap compute and delivery filled becomes current.
         std::mem::swap(&mut self.active, &mut self.active_next);
         let delivery_seconds = t_delivery.elapsed().as_secs_f64();
 
@@ -466,7 +569,7 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
             inbox: (0..n)
                 .map(|v| {
                     let (w, s) = gather(v);
-                    self.inbox[w][s].clone()
+                    self.inbox[w].mail(s).to_vec()
                 })
                 .collect(),
             prev_aggregates: self.prev_aggregates.clone(),
@@ -488,6 +591,7 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
             )));
         }
         self.superstep = ckpt.superstep;
+        self.clear_mail();
         let scatter = |v: usize| {
             let r = self.route[v];
             ((r >> 32) as usize, r as u32 as usize)
@@ -502,29 +606,28 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
         }
         for (v, msgs) in ckpt.inbox.into_iter().enumerate() {
             let (w, s) = scatter(v);
-            self.inbox[w][s] = msgs;
+            for msg in msgs {
+                self.inbox[w].put(s, msg);
+            }
         }
         self.prev_aggregates = ckpt.prev_aggregates;
         self.finish_state_load();
         Ok(())
     }
 
+    /// Drops the mail of the pre-load execution before a state load fills
+    /// the inboxes: what was delivered, and what folded outboxes still hold
+    /// of their last superstep (bucket mail never outlives its `step`).
+    fn clear_mail(&mut self) {
+        self.inbox.iter_mut().for_each(Inbox::clear_all);
+        self.outboxes.iter_mut().for_each(Outbox::reset);
+    }
+
     /// The common tail of [`Self::restore_state`] and
     /// [`Self::adopt_state_from`], once `halted` and `inbox` hold the loaded
     /// state.
     fn finish_state_load(&mut self) {
-        // Drop any in-flight buffers from the pre-load execution…
-        for rows in &mut self.inbox_next {
-            for cell in rows {
-                cell.clear();
-            }
-        }
-        for rows in self.outboxes.iter_mut().chain(self.delivery.iter_mut()) {
-            for cell in rows {
-                cell.clear();
-            }
-        }
-        // …re-derive who runs next from the loaded halt flags and mail…
+        // Re-derive who runs next from the loaded halt flags and mail…
         self.rebuild_active();
         // …and drop the metrics of supersteps the resumed run will
         // re-execute, so totals are not double-counted.
@@ -553,6 +656,7 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
             .arg("vertices", n as u64);
         self.superstep = old.superstep;
         self.prev_aggregates = old.prev_aggregates.clone();
+        self.clear_mail();
         for w in 0..self.members.len() {
             if old.members.get(w).is_some_and(|m| *m == self.members[w]) {
                 // Same vertex list in the same order: the slabs line up
@@ -566,7 +670,9 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
                     let (ow, os) = ((r >> 32) as usize, r as u32 as usize);
                     self.values[w][slot] = old.values[ow][os].clone();
                     self.halted[w][slot] = old.halted[ow][os];
-                    self.inbox[w][slot] = old.inbox[ow][os].clone();
+                    for msg in old.inbox[ow].mail(os) {
+                        self.inbox[w].put(slot, msg.clone());
+                    }
                 }
             }
         }
@@ -577,20 +683,21 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
 
 /// The worker kernel: computes one superstep for the vertices of a single
 /// worker whose bit is set in `active`, operating on the worker's own slabs
-/// (`vals[slot]`, `halted[slot]`, `inbox[slot]` aligned with
-/// `worker_vertices`) and marking in `active_next` those that did not vote
-/// to halt. Inbox cells are drained in place — the buffers keep their
-/// capacity for the next time this worker receives messages.
+/// (`vals[slot]`, `halted[slot]`, `remote_degree[slot]` and the inbox cells
+/// aligned with `worker_vertices`) and marking in `active_next` those that
+/// did not vote to halt. Every cell read is emptied, which leaves the whole
+/// inbox empty for delivery.
 #[allow(clippy::too_many_arguments)]
 fn run_worker_slab<P: VertexProgram>(
     self_worker: u32,
     worker_vertices: &[VertexId],
     vals: &mut [P::Value],
     halted: &mut [bool],
-    inbox: &mut [Vec<P::Message>],
+    remote_degree: &[u32],
+    inbox: &mut Inbox<P::Message>,
     active: &mut [u64],
     active_next: &mut [u64],
-    buckets: &mut [Vec<(u32, P::Message)>],
+    outbox: &mut Outbox<P::Message>,
     program: &P,
     graph: &Graph,
     prev_aggregates: &Aggregates,
@@ -606,9 +713,10 @@ fn run_worker_slab<P: VertexProgram>(
     let mut ran = 0u64;
     let mut sent = 0u64;
     let mut remote = 0u64;
-    let combiner = |a: &P::Message, b: &P::Message| program.combine(a, b);
+    // Delivery has read last superstep's mail.
+    outbox.reset();
     // Ascending words, ascending bits within a word: the same slot order a
-    // scan of the whole slab would visit, so bucket contents and aggregate
+    // scan of the whole slab would visit, so outbox contents and aggregate
     // fold order do not depend on how the frontier was found. Taking the
     // word leaves this bitmap zeroed for its turn as the next one.
     for (word_index, word) in active.iter_mut().enumerate() {
@@ -618,10 +726,6 @@ fn run_worker_slab<P: VertexProgram>(
             bits &= bits - 1;
             halted[slot] = false;
             ran += 1;
-            // Move the inbox cell out so the context can borrow the rest
-            // of the slabs mutably; hand the (cleared) buffer back
-            // afterwards.
-            let messages = std::mem::take(&mut inbox[slot]);
             let mut ctx = ComputeContext {
                 vertex: worker_vertices[slot],
                 superstep,
@@ -629,18 +733,16 @@ fn run_worker_slab<P: VertexProgram>(
                 prev_aggregates,
                 value: &mut vals[slot],
                 halted: &mut halted[slot],
-                buckets,
+                outbox,
                 route,
                 self_worker,
-                combiner: &combiner,
+                remote_degree: remote_degree[slot],
                 sent: &mut sent,
                 remote: &mut remote,
                 next_aggregates: &mut aggregates,
             };
-            program.compute(&mut ctx, &messages);
-            let mut messages = messages;
-            messages.clear();
-            inbox[slot] = messages;
+            program.compute(&mut ctx, inbox.mail(slot));
+            inbox.clear(slot);
             if !halted[slot] {
                 active_next[slot / 64] |= 1 << (slot % 64);
             }
@@ -658,31 +760,36 @@ fn run_worker_slab<P: VertexProgram>(
     }
 }
 
-/// Delivers one destination worker's incoming buckets (one per source, in
-/// source order) into its next-superstep inboxes, combining against the
-/// inbox tail when the program allows it. Bucket entries are already
-/// slot-addressed, so delivery indexes the inbox slab directly. A cell's
-/// first message marks its vertex active for the next superstep.
-fn deliver_worker<P: VertexProgram>(
-    program: &P,
-    rows: &mut [Vec<(u32, P::Message)>],
-    inbox: &mut [Vec<P::Message>],
+/// Delivers one destination worker's mail into its inbox, source by source
+/// in worker order: a folded outbox's first-touch list for `dest`, read in
+/// place, or the bucket `rows[src]` the transpose handed over, drained. A
+/// cell's first message marks its vertex active for the next superstep.
+/// Returns the entries walked.
+fn deliver_worker<M: Clone>(
+    dest: usize,
+    outboxes: &[Outbox<M>],
+    rows: &mut [Bucket<M>],
+    inbox: &mut Inbox<M>,
     active_next: &mut [u64],
-) {
-    for row in rows {
-        for (slot, msg) in row.drain(..) {
-            let cell = &mut inbox[slot as usize];
-            if let Some(last) = cell.last_mut() {
-                if let Some(combined) = program.combine(last, &msg) {
-                    *last = combined;
-                    continue;
+) -> u64 {
+    let mut touched = 0;
+    let mut put = |slot: u32, msg: M| {
+        touched += 1;
+        if inbox.put(slot as usize, msg) {
+            active_next[slot as usize / 64] |= 1 << (slot % 64);
+        }
+    };
+    for (outbox, row) in outboxes.iter().zip(rows) {
+        match outbox {
+            Outbox::Folded(f) => {
+                for &(v, slot) in &f.touched[dest] {
+                    put(slot, f.vals[v as usize].clone());
                 }
-            } else {
-                active_next[slot as usize / 64] |= 1 << (slot % 64);
             }
-            cell.push(msg);
+            Outbox::Buckets(_) => row.drain(..).for_each(|(slot, msg)| put(slot, msg)),
         }
     }
+    touched
 }
 
 #[cfg(test)]
@@ -716,8 +823,8 @@ mod tests {
             ctx.vote_to_halt();
         }
 
-        fn combine(&self, a: &u32, b: &u32) -> Option<u32> {
-            Some(*a.max(b))
+        fn combiner(&self) -> Option<fn(&u32, &u32) -> u32> {
+            Some(|a, b| *a.max(b))
         }
     }
 
@@ -828,23 +935,38 @@ mod tests {
                 "missing compute span for worker {w}"
             );
         }
-        assert!(trace.spans.iter().any(|s| s.name == "deliver"));
-        assert!(trace.spans.iter().any(|s| s.name == "transpose"));
-        // Each compute span carries its worker's frontier size; per
-        // superstep they add up to the recorded active-vertex count.
+        // Folded mail is read in place: nothing to transpose.
+        assert!(!trace.spans.iter().any(|s| s.name == "transpose"));
         let arg = |s: &obs::SpanRecord, key: &str| {
             let found = s.args.pairs().iter().find(|(k, _)| *k == key);
             found.map(|&(_, v)| v)
         };
-        for step in report.metrics.steps() {
+        let steps = report.metrics.steps();
+        for (i, step) in steps.iter().enumerate() {
+            // Each compute span carries its worker's frontier size; per
+            // superstep they add up to the recorded active-vertex count.
             let superstep = Some(step.superstep as u64);
-            let frontier: u64 = trace
-                .spans
-                .iter()
-                .filter(|s| s.name == "compute" && arg(s, "superstep") == superstep)
-                .map(|s| arg(s, "active").expect("compute span has an `active` arg"))
-                .sum();
-            assert_eq!(frontier, step.active_vertices, "at {superstep:?}");
+            let sum_of = |name: &str, key: &str| -> u64 {
+                let spans = trace.spans.iter();
+                spans
+                    .filter(|s| s.name == name && arg(s, "superstep") == superstep)
+                    .map(|s| arg(s, key).expect("the span carries the arg"))
+                    .sum()
+            };
+            assert_eq!(
+                sum_of("compute", "active"),
+                step.active_vertices,
+                "at {superstep:?}"
+            );
+            // Each deliver span carries the first-touch entries it walked: at
+            // most one per sender and target. MaxId halts everywhere, so the
+            // targets are exactly the vertices that run next.
+            let targets = steps.get(i + 1).map_or(0, |next| next.active_vertices);
+            let touched = sum_of("deliver", "touched");
+            assert!(
+                targets <= touched && touched <= 4 * targets,
+                "at {superstep:?}"
+            );
         }
         // Compute span time is consistent with the recorded metric.
         let compute_total = trace.total_seconds("compute");
@@ -853,6 +975,16 @@ mod tests {
             (compute_total - metric_total).abs() <= 0.5 * metric_total.max(1e-3),
             "span total {compute_total} vs metric {metric_total}"
         );
+
+        // A program without a combiner exchanges buckets through the
+        // transpose, once per superstep.
+        let session = hourglass_obs::TraceSession::start();
+        let mut e = program_on(crate::apps::GraphColoring::default(), &g, 4);
+        let report = e.run().expect("run");
+        let trace = session.finish();
+        let transposes = trace.spans.iter().filter(|s| s.name == "transpose");
+        assert_eq!(transposes.count(), report.supersteps);
+
         // Tracing must not leak into the next session.
         let empty = hourglass_obs::TraceSession::start().finish();
         assert!(empty.spans.is_empty());
@@ -931,21 +1063,45 @@ mod tests {
         assert!(b.adopt_state_from(&a).is_err());
     }
 
-    /// The bitmap is derived state: between steps a bit is set exactly when
-    /// the vertex is awake or has mail, no bit lies past the slab, and the
-    /// next bitmap is blank.
+    /// Between steps the derived state agrees with what it is derived from:
+    /// an active bit is set exactly when the vertex is awake or has mail, no
+    /// bit lies past the slab, the next bitmap is blank; a folded inbox has
+    /// a bit per cell holding mail and a slab under every bit; a folded
+    /// outbox lists, under the right destination and slot, exactly the
+    /// targets whose presence bit is set.
     fn assert_active_invariant<P: VertexProgram>(e: &BspEngine<'_, P>) {
         for w in 0..e.members.len() {
             let mut expected = 0;
+            let mut with_mail = 0;
             for slot in 0..e.members[w].len() {
                 let bit = e.active[w][slot / 64] >> (slot % 64) & 1 == 1;
-                let runs = !e.halted[w][slot] || !e.inbox[w][slot].is_empty();
+                let mail = e.inbox[w].mail(slot);
+                let runs = !e.halted[w][slot] || !mail.is_empty();
                 assert_eq!(bit, runs, "worker {w} slot {slot}");
                 expected += u32::from(runs);
+                with_mail += u32::from(!mail.is_empty());
             }
             let set: u32 = e.active[w].iter().map(|x| x.count_ones()).sum();
             assert_eq!(set, expected, "worker {w} has bits past its slab");
             assert!(e.active_next[w].iter().all(|&x| x == 0), "worker {w}");
+            if let Inbox::Folded { vals, has, .. } = &e.inbox[w] {
+                let set: u32 = has.iter().map(|x| x.count_ones()).sum();
+                assert_eq!(set, with_mail, "worker {w} has mail past its slab");
+                assert!(with_mail == 0 || vals.len() >= e.members[w].len());
+            }
+            if let Outbox::Folded(f) = &e.outboxes[w] {
+                let set: usize = f.present.iter().map(|x| x.count_ones() as usize).sum();
+                let listed: usize = f.touched.iter().map(Vec::len).sum();
+                assert_eq!(set, listed, "sender {w}: a bit per listed target");
+                assert!(listed == 0 || f.vals.len() == e.route.len());
+                for (dest, list) in f.touched.iter().enumerate() {
+                    for &(v, slot) in list {
+                        assert_eq!(f.present[v as usize / 64] >> (v % 64) & 1, 1);
+                        let route = crate::program::pack_route(dest as u32, slot);
+                        assert_eq!(e.route[v as usize], route, "sender {w} target {v}");
+                    }
+                }
+            }
         }
     }
 
@@ -962,10 +1118,13 @@ mod tests {
         steps.iter().map(|s| s.active_vertices).collect()
     }
 
-    fn sssp_on<'g>(g: &'g Graph, k: u32) -> BspEngine<'g, crate::apps::Sssp> {
+    fn program_on<P: VertexProgram>(program: P, g: &Graph, k: u32) -> BspEngine<'_, P> {
         let p = HashPartitioner.partition(g, k).expect("partition");
-        let program = crate::apps::Sssp { source: 7 };
         BspEngine::new(program, g, p, EngineConfig::default()).expect("engine")
+    }
+
+    fn sssp_on(g: &Graph, k: u32) -> BspEngine<'_, crate::apps::Sssp> {
+        program_on(crate::apps::Sssp { source: 7 }, g, k)
     }
 
     #[test]
@@ -1012,6 +1171,133 @@ mod tests {
         assert_eq!(b.values(), a.values());
     }
 
+    fn wcc_on(g: &Graph, k: u32) -> BspEngine<'_, crate::apps::Wcc> {
+        program_on(crate::apps::Wcc, g, k)
+    }
+
+    #[test]
+    fn dense_phase_checkpoint_resumes_on_another_k() {
+        // Min-label propagation over duplicate edges and self-loops: the
+        // first supersteps touch every cell of every mailbox.
+        let g = generators::rmat(7, 8, generators::RmatParams::SOCIAL, 3).expect("gen");
+        let mut whole = wcc_on(&g, 2);
+        let frontier = run_checked(&mut whole);
+        assert!(frontier.len() > 3 && frontier[1] > 64);
+
+        let cut = 2;
+        let mut a = wcc_on(&g, 2);
+        for _ in 0..cut {
+            a.step().expect("step");
+        }
+        for k in [1u32, 2, 3, 5] {
+            let mut restored = wcc_on(&g, k);
+            restored
+                .restore_state(a.checkpoint_state())
+                .expect("restore");
+            let mut adopted = wcc_on(&g, k);
+            adopted.adopt_state_from(&a).expect("adopt");
+            for mut e in [restored, adopted] {
+                assert_eq!(run_checked(&mut e), frontier[cut..], "k={k}");
+                assert_eq!(e.values(), whole.values(), "k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn restore_onto_a_stepped_engine_leaves_nothing_stale() {
+        let g = generators::rmat(7, 8, generators::RmatParams::SOCIAL, 3).expect("gen");
+        let mut a = wcc_on(&g, 3);
+        a.step().expect("step");
+        let ckpt = a.checkpoint_state();
+
+        // `used` has gone two supersteps further: its outboxes hold the mail
+        // of superstep 2, its inboxes that of superstep 3.
+        let mut used = wcc_on(&g, 3);
+        for _ in 0..3 {
+            used.step().expect("step");
+        }
+        used.restore_state(ckpt.clone()).expect("restore");
+        assert_active_invariant(&used);
+        let mut fresh = wcc_on(&g, 3);
+        fresh.restore_state(ckpt).expect("restore");
+        // And the same through adoption, onto an engine that has stepped.
+        let mut adopted = wcc_on(&g, 3);
+        adopted.step().expect("step");
+        adopted.step().expect("step");
+        adopted.adopt_state_from(&a).expect("adopt");
+        assert_active_invariant(&adopted);
+
+        fresh.step().expect("step");
+        for mut e in [used, adopted] {
+            e.step().expect("step");
+            assert_active_invariant(&e);
+            assert_eq!(e.values(), fresh.values());
+            let (got, want) = (e.metrics().steps(), fresh.metrics().steps());
+            let counts = |s: &SuperstepMetrics| (s.active_vertices, s.messages, s.remote_messages);
+            assert_eq!(got.last().map(counts), want.last().map(counts));
+            let mail = |e: &BspEngine<'_, crate::apps::Wcc>| e.checkpoint_state().inbox;
+            assert_eq!(mail(&e), mail(&fresh));
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_cell_of_two_messages_restores_as_their_fold() {
+        let g = ring(8);
+        let mut a = engine_on(&g, 2, false);
+        a.step().expect("step");
+        let mut ckpt = a.checkpoint_state();
+        assert!(ckpt.inbox.iter().all(|cell| cell.len() == 1));
+        // What an engine with list cells could have written.
+        ckpt.inbox[0] = vec![2, 50, 7];
+        ckpt.inbox[5] = Vec::new();
+        let mut b = engine_on(&g, 3, false);
+        b.restore_state(ckpt).expect("restore");
+        assert_active_invariant(&b);
+        let mail = b.checkpoint_state().inbox;
+        assert_eq!(mail[0], [50]);
+        assert!(mail[5].is_empty());
+        b.run().expect("run");
+        assert_eq!(b.values()[0], 50);
+        assert_eq!(b.values()[5], 5, "vertex 5 lost its mail and keeps its id");
+    }
+
+    #[test]
+    fn remote_degree_counts_what_single_sends_count() {
+        /// MaxId's first superstep, one `send` per neighbor.
+        struct SendEach;
+        impl VertexProgram for SendEach {
+            type Value = u32;
+            type Message = u32;
+            fn init(&self, v: VertexId, _: &Graph) -> u32 {
+                v
+            }
+            fn compute(&self, ctx: &mut ComputeContext<'_, u32, u32>, _m: &[u32]) {
+                if ctx.superstep == 0 {
+                    for &t in ctx.neighbors() {
+                        ctx.send(t, ctx.vertex);
+                    }
+                }
+                ctx.vote_to_halt();
+            }
+            fn combiner(&self) -> Option<fn(&u32, &u32) -> u32> {
+                Some(|a, b| *a.max(b))
+            }
+        }
+        let g = generators::rmat(7, 8, generators::RmatParams::SOCIAL, 3).expect("gen");
+        for k in [1u32, 2, 3, 8] {
+            let mut each = program_on(SendEach, &g, k);
+            each.step().expect("step");
+            let mut all = engine_on(&g, k, false);
+            all.step().expect("step");
+            let by_degree: u64 = all.remote_degree.iter().flatten().map(|&d| d as u64).sum();
+            let (each, all) = (&each.metrics().steps()[0], &all.metrics().steps()[0]);
+            assert_eq!(all.messages, 2 * g.num_edges() as u64, "k={k}");
+            assert_eq!(all.remote_messages, by_degree, "k={k}");
+            assert_eq!(each.remote_messages, by_degree, "k={k}");
+            assert_eq!(each.messages, all.messages, "k={k}");
+        }
+    }
+
     #[test]
     fn bitmap_tail_words_and_empty_workers() {
         // Slab lengths on both sides of a word boundary, and more workers
@@ -1030,6 +1316,21 @@ mod tests {
             let mut e = BspEngine::new(MaxId, &g, p, EngineConfig::default()).expect("engine");
             let frontier = run_checked(&mut e);
             assert_eq!(frontier, [n as u64, n as u64], "n={n} k={k}");
+            // Slabs come with the first send, or the first delivery.
+            for (w, ws) in e.members.iter().enumerate() {
+                let Outbox::Folded(f) = &e.outboxes[w] else {
+                    panic!("MaxId has a combiner");
+                };
+                let Inbox::Folded { vals, .. } = &e.inbox[w] else {
+                    panic!("MaxId has a combiner");
+                };
+                assert_eq!(
+                    f.vals.len(),
+                    if ws.is_empty() { 0 } else { n },
+                    "n={n} k={k}"
+                );
+                assert_eq!(vals.is_empty(), ws.is_empty(), "n={n} k={k}");
+            }
             for (v, &got) in e.values().iter().enumerate() {
                 let (prev, next) = ((v + n - 1) % n, (v + 1) % n);
                 assert_eq!(got as usize, v.max(prev).max(next), "n={n} k={k} v={v}");

@@ -37,7 +37,7 @@ pub use hourglass_faults as faults;
 pub use checkpoint::{get_framed, put_framed, CheckpointStore, DirStore, FaultyStore, MemoryStore};
 pub use engine::{BspEngine, EngineConfig, ExecutionReport};
 pub use loaders::{Datastore, StoreFormat};
-pub use program::{ComputeContext, VertexProgram};
+pub use program::{Combiner, ComputeContext, VertexProgram};
 
 use std::fmt;
 

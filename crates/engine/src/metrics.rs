@@ -94,8 +94,10 @@ pub struct SuperstepMetrics {
     pub max_worker_seconds: f64,
     /// Compute seconds summed over all workers (aggregate CPU).
     pub total_worker_seconds: f64,
-    /// Seconds the superstep spent delivering messages after the barrier
-    /// (outbox transpose + per-worker inbox scatter).
+    /// Seconds the superstep spent delivering messages after the barrier:
+    /// every destination worker taking its mail from the senders' outboxes
+    /// (preceded, for a program without a combiner, by the bucket
+    /// transpose).
     pub delivery_seconds: f64,
     /// Seconds workers spent idle at the superstep barrier, summed over
     /// workers: `Σ_w (max_worker_seconds − compute_w)`. Separates compute

@@ -24,17 +24,24 @@ impl Aggregates {
 
     /// Adds `v` into the sum-aggregate `name`.
     pub fn add_sum(&mut self, name: &str, v: f64) {
-        *self.sums.entry(name.to_string()).or_insert(0.0) += v;
+        // Hit first: PageRank calls this once per vertex per superstep, and
+        // `entry` would allocate the key every time.
+        if let Some(sum) = self.sums.get_mut(name) {
+            *sum += v;
+        } else {
+            self.sums.insert(name.to_string(), 0.0 + v);
+        }
     }
 
     /// Merges `v` into the max-aggregate `name`.
     pub fn add_max(&mut self, name: &str, v: f64) {
-        let e = self
-            .maxs
-            .entry(name.to_string())
-            .or_insert(f64::NEG_INFINITY);
-        if v > *e {
-            *e = v;
+        if let Some(max) = self.maxs.get_mut(name) {
+            if v > *max {
+                *max = v;
+            }
+        } else {
+            // −∞ then compare: NaN leaves −∞, as it did through `entry`.
+            self.maxs.insert(name.to_string(), f64::NEG_INFINITY.max(v));
         }
     }
 
@@ -81,15 +88,111 @@ pub(crate) fn build_routes(num_vertices: usize, members: &[Vec<VertexId>]) -> Ve
     route
 }
 
+/// A program's message combiner: a total, associative, commutative fold.
+pub type Combiner<M> = fn(&M, &M) -> M;
+
+/// One worker's outgoing mail for a superstep. Which kind a run uses is a
+/// property of the program — whether it declares a combiner — and never
+/// changes during the run.
+pub(crate) enum Outbox<M> {
+    /// The program has a combiner: at most one message per target vertex.
+    Folded(FoldedOutbox<M>),
+    /// No combiner: one bucket per destination worker holding
+    /// `(destination slot, message)` in send order.
+    Buckets(Vec<Vec<(u32, M)>>),
+}
+
+/// A sender's folded mailbox: one cell per *global* vertex id, so that a
+/// send is a presence-bit test and an update of `vals[target]` — the route
+/// table (8 B per vertex, past the L2 and the TLB's reach on a large graph)
+/// is read once per touched target, not once per message.
+pub(crate) struct FoldedOutbox<M> {
+    pub(crate) combine: Combiner<M>,
+    /// The fold of this superstep's messages to vertex `v`, where
+    /// `present` says so. Empty until the worker's first send, then one
+    /// cell per vertex of the graph.
+    pub(crate) vals: Vec<M>,
+    /// One bit per global vertex id.
+    pub(crate) present: Vec<u64>,
+    /// Per destination worker, `(vertex, destination slot)` of every target
+    /// in first-send order: what delivery walks, and what
+    /// [`Outbox::reset`] walks to clear `present`.
+    pub(crate) touched: Vec<Vec<(VertexId, u32)>>,
+}
+
+impl<M: Clone> Outbox<M> {
+    /// An empty outbox of one of `workers` senders over `num_vertices`
+    /// vertices.
+    pub(crate) fn new(combiner: Option<Combiner<M>>, num_vertices: usize, workers: usize) -> Self {
+        match combiner {
+            Some(combine) => Outbox::Folded(FoldedOutbox {
+                combine,
+                vals: Vec::new(),
+                present: vec![0; num_vertices.div_ceil(64)],
+                touched: vec![Vec::new(); workers],
+            }),
+            None => Outbox::Buckets(vec![Vec::new(); workers]),
+        }
+    }
+
+    /// Forgets the mail of the last superstep, at a cost proportional to
+    /// the targets it touched.
+    pub(crate) fn reset(&mut self) {
+        match self {
+            Outbox::Folded(f) => {
+                for list in &mut f.touched {
+                    for &(v, _) in list.iter() {
+                        f.present[v as usize / 64] &= !(1 << (v % 64));
+                    }
+                    list.clear();
+                }
+            }
+            // Delivery drained them in the `step` that filled them.
+            Outbox::Buckets(_) => {}
+        }
+    }
+
+    /// Sends `msg` to each of `targets`, in order.
+    fn send_all(&mut self, route: &[u64], targets: &[VertexId], msg: &M) {
+        match self {
+            Outbox::Folded(f) => {
+                if f.vals.is_empty() && !targets.is_empty() {
+                    f.vals.resize(route.len(), msg.clone());
+                }
+                // Slices and the fn pointer in locals: one loop over the
+                // slab with nothing reloaded through `f` per message.
+                let (vals, present, combine) = (&mut f.vals[..], &mut f.present[..], f.combine);
+                for &target in targets {
+                    let t = target as usize;
+                    let (word, bit) = (t / 64, 1u64 << (t % 64));
+                    if present[word] & bit != 0 {
+                        vals[t] = combine(&vals[t], msg);
+                    } else {
+                        present[word] |= bit;
+                        vals[t] = msg.clone();
+                        let r = route[t];
+                        f.touched[(r >> 32) as usize].push((target, r as u32));
+                    }
+                }
+            }
+            Outbox::Buckets(buckets) => {
+                for &target in targets {
+                    let r = route[target as usize];
+                    buckets[(r >> 32) as usize].push((r as u32, msg.clone()));
+                }
+            }
+        }
+    }
+}
+
 /// Everything a vertex sees during `compute`: its state, the graph, the
 /// previous superstep's aggregates, and sinks for messages and halting.
 ///
-/// Messages are routed as they are sent: the context holds one reusable
-/// bucket per destination worker, resolves the target's (worker, slot)
-/// with a single packed-table read, and folds the message into the
-/// bucket's tail when the program's combiner applies (sender-side
-/// combining). Bucket entries are addressed by destination *slot*, so
-/// delivery indexes the destination inbox slab directly.
+/// Messages are routed as they are sent, into the worker's [`Outbox`]: a
+/// program with a combiner folds each message into the cell of its target
+/// vertex (per sender in send order — ascending slot, then adjacency
+/// order); a program without one appends `(destination slot, message)` to
+/// the bucket of the target's worker.
 pub struct ComputeContext<'a, V, M> {
     /// The vertex being computed.
     pub vertex: VertexId,
@@ -101,16 +204,13 @@ pub struct ComputeContext<'a, V, M> {
     pub prev_aggregates: &'a Aggregates,
     pub(crate) value: &'a mut V,
     pub(crate) halted: &'a mut bool,
-    /// One outgoing bucket per destination worker; entries are
-    /// `(destination slot, message)`.
-    pub(crate) buckets: &'a mut [Vec<(u32, M)>],
+    pub(crate) outbox: &'a mut Outbox<M>,
     /// Packed vertex → (worker, slot) routing table.
     pub(crate) route: &'a [u64],
     /// The worker computing this vertex.
     pub(crate) self_worker: u32,
-    /// The program's combiner, type-erased so the context stays generic
-    /// over `(V, M)` only.
-    pub(crate) combiner: &'a dyn Fn(&M, &M) -> Option<M>,
+    /// How many of this vertex's neighbors live on another worker.
+    pub(crate) remote_degree: u32,
     /// Logical messages emitted (counted before combining).
     pub(crate) sent: &'a mut u64,
     /// Logical messages addressed to another worker.
@@ -118,7 +218,7 @@ pub struct ComputeContext<'a, V, M> {
     pub(crate) next_aggregates: &'a mut Aggregates,
 }
 
-impl<'a, V, M> ComputeContext<'a, V, M> {
+impl<'a, V, M: Clone> ComputeContext<'a, V, M> {
     /// The vertex's mutable value.
     pub fn value(&mut self) -> &mut V {
         self.value
@@ -142,47 +242,22 @@ impl<'a, V, M> ComputeContext<'a, V, M> {
     /// Sends `msg` to `target`, to be delivered next superstep.
     pub fn send(&mut self, target: VertexId, msg: M) {
         *self.sent += 1;
-        let route = self.route[target as usize];
-        let dest = (route >> 32) as u32;
-        let slot = route as u32;
-        if dest != self.self_worker {
-            *self.remote += 1;
-        }
-        push_combined(&mut self.buckets[dest as usize], self.combiner, slot, msg);
+        let dest = (self.route[target as usize] >> 32) as u32;
+        *self.remote += u64::from(dest != self.self_worker);
+        self.outbox
+            .send_all(self.route, std::slice::from_ref(&target), &msg);
     }
 
     /// Sends `msg` to every neighbor.
     ///
-    /// The engine's hottest send path: one tight pass over the adjacency
-    /// list with the logical-send and remote counters hoisted out of the
-    /// loop, combining into the bucket tails exactly as [`Self::send`]
-    /// would per message.
-    pub fn send_to_neighbors(&mut self, msg: M)
-    where
-        M: Clone,
-    {
+    /// The engine's hottest send path: one pass over the adjacency list,
+    /// with the remote count taken from the vertex's precomputed remote
+    /// degree instead of an owner lookup per neighbor.
+    pub fn send_to_neighbors(&mut self, msg: M) {
         let neighbors = self.neighbors();
-        let Some((&last_n, init)) = neighbors.split_last() else {
-            return;
-        };
         *self.sent += neighbors.len() as u64;
-        let mut remote = 0u64;
-        for &n in init {
-            let route = self.route[n as usize];
-            let (dest, slot) = ((route >> 32) as u32, route as u32);
-            remote += u64::from(dest != self.self_worker);
-            push_combined(
-                &mut self.buckets[dest as usize],
-                self.combiner,
-                slot,
-                msg.clone(),
-            );
-        }
-        let route = self.route[last_n as usize];
-        let (dest, slot) = ((route >> 32) as u32, route as u32);
-        remote += u64::from(dest != self.self_worker);
-        push_combined(&mut self.buckets[dest as usize], self.combiner, slot, msg);
-        *self.remote += remote;
+        *self.remote += u64::from(self.remote_degree);
+        self.outbox.send_all(self.route, neighbors, &msg);
     }
 
     /// Votes to halt; the vertex is reactivated by incoming messages.
@@ -199,27 +274,6 @@ impl<'a, V, M> ComputeContext<'a, V, M> {
     pub fn aggregate_max(&mut self, name: &str, v: f64) {
         self.next_aggregates.add_max(name, v);
     }
-}
-
-/// Appends `(slot, msg)` to `bucket`, folding into the tail entry when it
-/// addresses the same slot and the combiner applies (sender-side
-/// combining).
-#[inline]
-fn push_combined<M>(
-    bucket: &mut Vec<(u32, M)>,
-    combiner: &dyn Fn(&M, &M) -> Option<M>,
-    slot: u32,
-    msg: M,
-) {
-    if let Some((tail, last)) = bucket.last_mut() {
-        if *tail == slot {
-            if let Some(combined) = combiner(last, &msg) {
-                *last = combined;
-                return;
-            }
-        }
-    }
-    bucket.push((slot, msg));
 }
 
 /// A vertex-centric program.
@@ -242,10 +296,13 @@ pub trait VertexProgram: Send + Sync {
         messages: &[Self::Message],
     );
 
-    /// Optional message combiner: when provided, messages addressed to the
-    /// same vertex are folded eagerly, cutting memory and "network" volume
-    /// (Pregel combiners).
-    fn combine(&self, _a: &Self::Message, _b: &Self::Message) -> Option<Self::Message> {
+    /// Optional message combiner (Pregel combiners). A program that
+    /// declares one never sees more than one message per vertex and
+    /// superstep, and the engine keeps its mail in flat per-vertex cells
+    /// instead of lists. The fold order is fixed — per sender in send
+    /// order, then across senders in worker order — so results do not
+    /// depend on threading.
+    fn combiner(&self) -> Option<Combiner<Self::Message>> {
         None
     }
 
@@ -297,19 +354,55 @@ mod tests {
     }
 
     #[test]
-    fn send_routes_counts_and_combines() {
+    fn aggregates_keep_the_entry_arithmetic() {
+        // What `entry(name.to_string()).or_insert(..)` computed, allocation
+        // and all: the lookup-first path must agree to the bit.
+        let old_sum = |vs: &[f64]| {
+            let mut m: HashMap<String, f64> = HashMap::new();
+            for &v in vs {
+                *m.entry("x".to_string()).or_insert(0.0) += v;
+            }
+            m["x"].to_bits()
+        };
+        let old_max = |vs: &[f64]| {
+            let mut m: HashMap<String, f64> = HashMap::new();
+            for &v in vs {
+                let e = m.entry("x".to_string()).or_insert(f64::NEG_INFINITY);
+                if v > *e {
+                    *e = v;
+                }
+            }
+            m["x"].to_bits()
+        };
+        let samples = [0.0, -0.0, 1.5, f64::NAN, f64::NEG_INFINITY];
+        for first in samples {
+            for later in samples {
+                for vs in [&[first][..], &[first, later]] {
+                    let mut a = Aggregates::new();
+                    for &v in vs {
+                        a.add_sum("x", v);
+                        a.add_max("x", v);
+                    }
+                    assert_eq!(a.sum("x").to_bits(), old_sum(vs), "sum of {vs:?}");
+                    assert_eq!(a.max("x").to_bits(), old_max(vs), "max of {vs:?}");
+                }
+            }
+        }
+    }
+
+    /// Vertex 0 of the path 0–1 on worker 0 of two (worker 0 owns {0, 2} at
+    /// slots 0 and 1, worker 1 owns {1, 3}) sends 7 → 2, 3 → 1, 9 → 1,
+    /// 1 → 3 and then 5 to its neighbor; returns `(sent, remote)`.
+    fn send_from_vertex_0(outbox: &mut Outbox<u32>) -> (u64, u64) {
         let mut graph_builder = hourglass_graph::GraphBuilder::undirected(4);
         graph_builder.add_edge(0, 1);
         let graph = graph_builder.build().expect("build");
-        // Worker 0 owns {0, 2} (slots 0, 1), worker 1 owns {1, 3}.
         let route = build_routes(4, &[vec![0, 2], vec![1, 3]]);
-        let mut buckets = vec![Vec::new(), Vec::new()];
         let mut value = 0u32;
         let mut halted = false;
         let mut next_aggregates = Aggregates::new();
         let (mut sent, mut remote) = (0u64, 0u64);
         let prev = Aggregates::new();
-        let combiner = |a: &u32, b: &u32| Some(*a.max(b));
         let mut ctx: ComputeContext<'_, u32, u32> = ComputeContext {
             vertex: 0,
             superstep: 0,
@@ -317,21 +410,56 @@ mod tests {
             prev_aggregates: &prev,
             value: &mut value,
             halted: &mut halted,
-            buckets: &mut buckets,
+            outbox,
             route: &route,
             self_worker: 0,
-            combiner: &combiner,
+            remote_degree: 1,
             sent: &mut sent,
             remote: &mut remote,
             next_aggregates: &mut next_aggregates,
         };
         ctx.send(2, 7); // local → worker 0 slot 1
         ctx.send(1, 3); // remote → worker 1 slot 0
-        ctx.send(1, 9); // remote, combines with the tail
-        ctx.send(3, 1); // remote, different target: no combine
-        assert_eq!(sent, 4, "logical sends counted before combining");
-        assert_eq!(remote, 3);
+        ctx.send(1, 9); // remote, same target
+        ctx.send(3, 1); // remote → worker 1 slot 1
+        ctx.send_to_neighbors(5); // vertex 1 again, counted by remote degree
+        (sent, remote)
+    }
+
+    #[test]
+    fn bucket_sends_route_and_count() {
+        let mut outbox = Outbox::new(None, 4, 2);
+        let counts = send_from_vertex_0(&mut outbox);
+        assert_eq!(counts, (5, 4), "logical sends; those that left worker 0");
+        let Outbox::Buckets(buckets) = &outbox else {
+            panic!("no combiner, so buckets");
+        };
         assert_eq!(buckets[0], vec![(1, 7)]);
-        assert_eq!(buckets[1], vec![(0, 9), (1, 1)]);
+        assert_eq!(buckets[1], vec![(0, 3), (0, 9), (1, 1), (0, 5)]);
+    }
+
+    #[test]
+    fn folded_sends_keep_one_cell_per_target() {
+        let mut outbox = Outbox::new(Some(|a: &u32, b: &u32| *a.max(b)), 4, 2);
+        let Outbox::Folded(f) = &outbox else {
+            panic!("a combiner, so folded");
+        };
+        assert!(f.vals.is_empty(), "no slab before the first send");
+        let counts = send_from_vertex_0(&mut outbox);
+        assert_eq!(counts, (5, 4), "counted before folding");
+        let Outbox::Folded(f) = &outbox else {
+            unreachable!()
+        };
+        // One route lookup per touched target, in first-send order.
+        assert_eq!(f.touched, [vec![(2, 1)], vec![(1, 0), (3, 1)]]);
+        assert_eq!(f.present, [0b1110]);
+        assert_eq!(f.vals[1..], [9, 7, 1]);
+
+        outbox.reset();
+        let Outbox::Folded(f) = &outbox else {
+            unreachable!()
+        };
+        assert_eq!(f.present, [0]);
+        assert!(f.touched.iter().all(Vec::is_empty));
     }
 }
