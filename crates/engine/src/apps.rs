@@ -8,9 +8,10 @@
 //! - [`Wcc`], [`Bfs`], [`DegreeCount`] — standard auxiliary programs used
 //!   by tests and examples.
 
+use crate::checkpoint::Codec;
 use crate::program::{ComputeContext, VertexProgram};
+use crate::Result;
 use hourglass_graph::{Graph, VertexId};
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
 // PageRank.
@@ -158,10 +159,24 @@ impl VertexProgram for Sssp {
 // ---------------------------------------------------------------------------
 
 /// Per-vertex coloring state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColorState {
     /// Assigned color, `u32::MAX` while undecided.
     pub color: u32,
+}
+
+impl Codec for ColorState {
+    const MIN_BYTES: usize = u32::MIN_BYTES;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.color.put(out);
+    }
+
+    fn get(input: &mut &[u8]) -> Result<Self> {
+        Ok(ColorState {
+            color: u32::get(input)?,
+        })
+    }
 }
 
 impl ColorState {
@@ -634,12 +649,28 @@ pub struct KCore {
 }
 
 /// State of a vertex in the k-core computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreState {
     /// Whether the vertex is still in the candidate core.
     pub alive: bool,
     /// Number of dead neighbors observed so far.
     pub dead_neighbors: u32,
+}
+
+impl Codec for CoreState {
+    const MIN_BYTES: usize = bool::MIN_BYTES + u32::MIN_BYTES;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.alive.put(out);
+        self.dead_neighbors.put(out);
+    }
+
+    fn get(input: &mut &[u8]) -> Result<Self> {
+        Ok(CoreState {
+            alive: bool::get(input)?,
+            dead_neighbors: u32::get(input)?,
+        })
+    }
 }
 
 impl VertexProgram for KCore {

@@ -33,7 +33,6 @@ use hourglass_exec::fork_join;
 use hourglass_graph::{Graph, VertexId};
 use hourglass_obs as obs;
 use hourglass_partition::Partitioning;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Engine configuration.
@@ -72,23 +71,87 @@ pub struct ExecutionReport {
     pub metrics: RunMetrics,
 }
 
-/// Serializable engine state written by [`BspEngine::checkpoint_state`].
+/// Engine state written by [`BspEngine::checkpoint_state`]; its wire form is
+/// the `HGC1` payload of [`crate::checkpoint`].
 ///
 /// Everything is stored in global vertex order, independent of the worker
 /// count that produced it — that is what lets a checkpoint written on `k`
-/// workers restore onto `k'` workers (the fast-reload scenario, §6.2).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// workers restore onto `k'` workers (the fast-reload scenario, §6.2) — and
+/// flat: slabs and bitmaps, no heap cell per vertex.
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineCheckpoint<V, M> {
     /// Superstep the engine will execute next.
     pub superstep: usize,
     /// Per-vertex values, in global vertex order.
     pub values: Vec<V>,
-    /// Per-vertex halt flags.
-    pub halted: Vec<bool>,
+    /// Bit `v` (of word `v / 64`) is set when vertex `v` has voted to halt.
+    pub halted: Vec<u64>,
     /// Per-vertex inboxes for the next superstep.
-    pub inbox: Vec<Vec<M>>,
+    pub mail: Mail<M>,
     /// Aggregates produced by the last executed superstep.
     pub prev_aggregates: Aggregates,
+}
+
+/// The pending mail of a checkpoint: a presence bitmap and the cells of the
+/// vertices that have mail, concatenated in ascending vertex order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Mail<M> {
+    /// Bit `v` (of word `v / 64`) is set when vertex `v` has mail.
+    pub has: Vec<u64>,
+    /// The messages of those vertices, cell after cell.
+    pub msgs: Vec<M>,
+    /// The length of each of those cells, none of them 0. `None` when every
+    /// cell holds exactly one message: what a program with a combiner
+    /// writes.
+    pub counts: Option<Vec<u32>>,
+}
+
+impl<M> Mail<M> {
+    /// `(vertex, cell)` of every vertex with mail, in ascending order.
+    pub fn cells(&self) -> impl Iterator<Item = (usize, &[M])> {
+        let mut rest = &self.msgs[..];
+        set_bits(&self.has).enumerate().map(move |(i, v)| {
+            let len = self.counts.as_ref().map_or(1, |c| c[i] as usize);
+            let (cell, tail) = rest.split_at(len);
+            rest = tail;
+            (v, cell)
+        })
+    }
+
+    /// Whether bitmap, counts and messages describe the same cells over
+    /// `n` vertices.
+    fn is_consistent(&self, n: usize) -> bool {
+        let cells = self.has.iter().map(|w| w.count_ones() as usize).sum();
+        is_bitmap_of(&self.has, n)
+            && match &self.counts {
+                None => self.msgs.len() == cells,
+                Some(counts) => {
+                    counts.len() == cells
+                        && !counts.contains(&0)
+                        && counts.iter().map(|&c| c as u64).sum::<u64>() == self.msgs.len() as u64
+                }
+            }
+    }
+}
+
+/// The indices of the set bits of `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(i, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                i * 64 + bit
+            })
+        })
+    })
+}
+
+/// Whether `words` is a bitmap over exactly `n` positions: the right word
+/// count, no bit at or past `n`.
+pub(crate) fn is_bitmap_of(words: &[u64], n: usize) -> bool {
+    words.len() == n.div_ceil(64) && (n.is_multiple_of(64) || words[n / 64] >> (n % 64) == 0)
 }
 
 /// One outgoing bucket: slot-addressed messages for a single destination
@@ -547,47 +610,65 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
         let _span = obs::span("checkpoint_save", "ckpt")
             .arg("superstep", self.superstep as u64)
             .arg("vertices", self.graph.num_vertices() as u64);
-        let gather = |v: usize| {
-            let r = self.route[v];
-            ((r >> 32) as usize, r as u32 as usize)
-        };
         let n = self.graph.num_vertices();
+        let mut values = Vec::with_capacity(n);
+        let mut halted = vec![0u64; n.div_ceil(64)];
+        let mut mail = Mail {
+            has: vec![0u64; n.div_ceil(64)],
+            msgs: Vec::new(),
+            counts: self.program.combiner().is_none().then(Vec::new),
+        };
+        for (v, &r) in self.route.iter().enumerate() {
+            let (w, s) = ((r >> 32) as usize, r as u32 as usize);
+            values.push(self.values[w][s].clone());
+            halted[v / 64] |= u64::from(self.halted[w][s]) << (v % 64);
+            let cell = self.inbox[w].mail(s);
+            if !cell.is_empty() {
+                mail.has[v / 64] |= 1 << (v % 64);
+                mail.msgs.extend_from_slice(cell);
+                if let Some(counts) = &mut mail.counts {
+                    counts.push(u32::try_from(cell.len()).expect("a cell of under 2^32 messages"));
+                }
+            }
+        }
         EngineCheckpoint {
             superstep: self.superstep,
-            values: (0..n)
-                .map(|v| {
-                    let (w, s) = gather(v);
-                    self.values[w][s].clone()
-                })
-                .collect(),
-            halted: (0..n)
-                .map(|v| {
-                    let (w, s) = gather(v);
-                    self.halted[w][s]
-                })
-                .collect(),
-            inbox: (0..n)
-                .map(|v| {
-                    let (w, s) = gather(v);
-                    self.inbox[w].mail(s).to_vec()
-                })
-                .collect(),
+            values,
+            halted,
+            mail,
             prev_aggregates: self.prev_aggregates.clone(),
         }
     }
 
+    /// Decodes an `HGC1` payload into a checkpoint this engine can restore:
+    /// one over its graph's vertex count, with the mail kind its program
+    /// writes.
+    pub fn decode_checkpoint(
+        &self,
+        payload: &[u8],
+    ) -> Result<EngineCheckpoint<P::Value, P::Message>> {
+        let folded = self.program.combiner().is_some();
+        EngineCheckpoint::decode(payload, self.graph.num_vertices(), folded)
+    }
+
     /// Restores engine state from a checkpoint (graph and partitioning must
     /// match the original run; the partitioning may differ in worker count
-    /// — that is exactly the fast-reload scenario).
+    /// — that is exactly the fast-reload scenario). A cell of several
+    /// messages restores, under a combiner, as their fold.
     pub fn restore_state(&mut self, ckpt: EngineCheckpoint<P::Value, P::Message>) -> Result<()> {
         let _span = obs::span("checkpoint_restore", "ckpt")
             .arg("superstep", ckpt.superstep as u64)
             .arg("vertices", ckpt.values.len() as u64);
         let n = self.graph.num_vertices();
-        if ckpt.values.len() != n || ckpt.halted.len() != n || ckpt.inbox.len() != n {
+        if ckpt.values.len() != n {
             return Err(EngineError::Checkpoint(format!(
                 "checkpoint covers {} vertices, graph has {n}",
                 ckpt.values.len()
+            )));
+        }
+        if !is_bitmap_of(&ckpt.halted, n) || !ckpt.mail.is_consistent(n) {
+            return Err(EngineError::Checkpoint(format!(
+                "checkpoint bitmaps and mail do not describe {n} vertices"
             )));
         }
         self.superstep = ckpt.superstep;
@@ -599,15 +680,12 @@ impl<'g, P: VertexProgram> BspEngine<'g, P> {
         for (v, val) in ckpt.values.into_iter().enumerate() {
             let (w, s) = scatter(v);
             self.values[w][s] = val;
+            self.halted[w][s] = ckpt.halted[v / 64] >> (v % 64) & 1 == 1;
         }
-        for (v, h) in ckpt.halted.into_iter().enumerate() {
+        for (v, cell) in ckpt.mail.cells() {
             let (w, s) = scatter(v);
-            self.halted[w][s] = h;
-        }
-        for (v, msgs) in ckpt.inbox.into_iter().enumerate() {
-            let (w, s) = scatter(v);
-            for msg in msgs {
-                self.inbox[w].put(s, msg);
+            for msg in cell {
+                self.inbox[w].put(s, msg.clone());
             }
         }
         self.prev_aggregates = ckpt.prev_aggregates;
@@ -793,14 +871,14 @@ fn deliver_worker<M: Clone>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hourglass_graph::generators;
     use hourglass_partition::{hash::HashPartitioner, Partitioner};
 
     /// Toy program: every vertex floods its id once, then records the max
     /// id it heard and halts.
-    struct MaxId;
+    pub(crate) struct MaxId;
 
     impl VertexProgram for MaxId {
         type Value = u32;
@@ -828,7 +906,7 @@ mod tests {
         }
     }
 
-    fn ring(n: usize) -> Graph {
+    pub(crate) fn ring(n: usize) -> Graph {
         let mut b = hourglass_graph::GraphBuilder::undirected(n);
         for i in 0..n as u32 {
             b.add_edge(i, (i + 1) % n as u32);
@@ -1010,14 +1088,15 @@ mod tests {
         let mut a = BspEngine::new(MaxId, &g, p.clone(), EngineConfig::default()).expect("engine");
         a.step().expect("step");
         let ckpt = a.checkpoint_state();
-        let json = serde_json::to_vec(&ckpt).expect("serialize");
+        let mut bytes = Vec::new();
+        ckpt.encode(&mut bytes);
         a.run().expect("run");
 
         // Restore into a *different* worker count (fast-reload scenario).
         let p8 = HashPartitioner.partition(&g, 8).expect("partition");
         let mut b = BspEngine::new(MaxId, &g, p8, EngineConfig::default()).expect("engine");
-        let restored: EngineCheckpoint<u32, u32> =
-            serde_json::from_slice(&json).expect("deserialize");
+        let restored = b.decode_checkpoint(&bytes).expect("decode");
+        assert_eq!(restored, ckpt);
         b.restore_state(restored).expect("restore");
         assert_eq!(b.superstep(), 1);
         b.run().expect("run");
@@ -1118,7 +1197,7 @@ mod tests {
         steps.iter().map(|s| s.active_vertices).collect()
     }
 
-    fn program_on<P: VertexProgram>(program: P, g: &Graph, k: u32) -> BspEngine<'_, P> {
+    pub(crate) fn program_on<P: VertexProgram>(program: P, g: &Graph, k: u32) -> BspEngine<'_, P> {
         let p = HashPartitioner.partition(g, k).expect("partition");
         BspEngine::new(program, g, p, EngineConfig::default()).expect("engine")
     }
@@ -1235,7 +1314,7 @@ mod tests {
             let (got, want) = (e.metrics().steps(), fresh.metrics().steps());
             let counts = |s: &SuperstepMetrics| (s.active_vertices, s.messages, s.remote_messages);
             assert_eq!(got.last().map(counts), want.last().map(counts));
-            let mail = |e: &BspEngine<'_, crate::apps::Wcc>| e.checkpoint_state().inbox;
+            let mail = |e: &BspEngine<'_, crate::apps::Wcc>| e.checkpoint_state().mail;
             assert_eq!(mail(&e), mail(&fresh));
         }
     }
@@ -1246,19 +1325,40 @@ mod tests {
         let mut a = engine_on(&g, 2, false);
         a.step().expect("step");
         let mut ckpt = a.checkpoint_state();
-        assert!(ckpt.inbox.iter().all(|cell| cell.len() == 1));
-        // What an engine with list cells could have written.
-        ckpt.inbox[0] = vec![2, 50, 7];
-        ckpt.inbox[5] = Vec::new();
+        assert_eq!(ckpt.mail.has, [0xFF]);
+        assert_eq!(ckpt.mail.counts, None);
+        // What an engine with list cells could have written: three messages
+        // for vertex 0, none for vertex 5, one for everyone else.
+        ckpt.mail.has = vec![0xFF & !(1 << 5)];
+        ckpt.mail.msgs.remove(5);
+        ckpt.mail.msgs.splice(0..1, [2, 50, 7]);
+        ckpt.mail.counts = Some(vec![3, 1, 1, 1, 1, 1, 1]);
         let mut b = engine_on(&g, 3, false);
-        b.restore_state(ckpt).expect("restore");
+        b.restore_state(ckpt.clone()).expect("restore");
         assert_active_invariant(&b);
-        let mail = b.checkpoint_state().inbox;
-        assert_eq!(mail[0], [50]);
-        assert!(mail[5].is_empty());
+        let mail = b.checkpoint_state().mail;
+        assert_eq!(mail.counts, None);
+        let cells: Vec<_> = mail.cells().collect();
+        assert_eq!(cells[0], (0, &[50][..]));
+        assert!(cells.iter().all(|&(v, _)| v != 5));
         b.run().expect("run");
         assert_eq!(b.values()[0], 50);
         assert_eq!(b.values()[5], 5, "vertex 5 lost its mail and keeps its id");
+
+        // Counts, bitmap and messages that disagree are refused whole.
+        let mut short = ckpt.clone();
+        short.mail.msgs.pop();
+        let mut empty_cell = ckpt.clone();
+        empty_cell.mail.counts = Some(vec![4, 0, 1, 1, 1, 1, 1]);
+        let mut past_n = ckpt.clone();
+        past_n.halted[0] |= 1 << 8;
+        for bad in [short, empty_cell, past_n] {
+            let mut c = engine_on(&g, 3, false);
+            assert!(matches!(
+                c.restore_state(bad),
+                Err(EngineError::Checkpoint(_))
+            ));
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The vertex-program abstraction ("think like a vertex", Pregel [27]).
 
+use crate::checkpoint::{malformed, Codec};
+use crate::Result;
 use hourglass_graph::{Graph, VertexId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Global aggregates exchanged between supersteps.
@@ -10,7 +11,7 @@ use std::collections::HashMap;
 /// values written during superstep `s` are visible to every vertex during
 /// superstep `s + 1` (and to the master between supersteps), matching
 /// Pregel aggregator semantics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Aggregates {
     sums: HashMap<String, f64>,
     maxs: HashMap<String, f64>,
@@ -66,6 +67,42 @@ impl Aggregates {
                 *e = *v;
             }
         }
+    }
+}
+
+/// Sums, then maxima; each a count and its `(name, value)` entries in
+/// ascending name order, so equal sets encode to equal bytes whatever order
+/// their maps iterate in.
+impl Codec for Aggregates {
+    const MIN_BYTES: usize = 2 * <Vec<(String, f64)>>::MIN_BYTES;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        for map in [&self.sums, &self.maxs] {
+            let mut entries: Vec<(&String, &f64)> = map.iter().collect();
+            entries.sort_unstable_by_key(|&(name, _)| name);
+            (entries.len() as u64).put(out);
+            for (name, v) in entries {
+                name.put(out);
+                v.put(out);
+            }
+        }
+    }
+
+    fn get(input: &mut &[u8]) -> Result<Self> {
+        let mut map = || -> Result<HashMap<String, f64>> {
+            let entries = <Vec<(String, f64)>>::get(input)?;
+            if let Some(pair) = entries.windows(2).find(|pair| pair[0].0 >= pair[1].0) {
+                return Err(malformed(format_args!(
+                    "aggregate {:?} is not after {:?}",
+                    pair[1].0, pair[0].0
+                )));
+            }
+            Ok(entries.into_iter().collect())
+        };
+        Ok(Aggregates {
+            sums: map()?,
+            maxs: map()?,
+        })
     }
 }
 
@@ -279,12 +316,12 @@ impl<'a, V, M: Clone> ComputeContext<'a, V, M> {
 /// A vertex-centric program.
 ///
 /// `Value` is the per-vertex state; `Message` is what vertices exchange.
-/// Both must be serializable so the engine can checkpoint mid-run.
+/// Both have a wire form ([`Codec`]) so the engine can checkpoint mid-run.
 pub trait VertexProgram: Send + Sync {
     /// Per-vertex state.
-    type Value: Clone + Send + Sync + serde::Serialize + serde::de::DeserializeOwned;
+    type Value: Clone + Send + Sync + Codec;
     /// Inter-vertex message.
-    type Message: Clone + Send + Sync + serde::Serialize + serde::de::DeserializeOwned;
+    type Message: Clone + Send + Sync + Codec;
 
     /// Initial value of `vertex` (superstep 0 sees these).
     fn init(&self, vertex: VertexId, graph: &Graph) -> Self::Value;

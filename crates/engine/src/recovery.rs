@@ -12,11 +12,12 @@
 //!   `ckpt_fallback` span) instead of failing the run — only when every
 //!   present epoch is corrupt does the restore return a typed error.
 
-use crate::checkpoint::{get_framed, put_framed, CheckpointStore};
+use crate::checkpoint::{get_framed, CheckpointStore};
 use crate::engine::{BspEngine, EngineCheckpoint};
 use crate::program::VertexProgram;
 use crate::{EngineError, Result};
 use hourglass_faults::RetryPolicy;
+use hourglass_graph::crc32c::{frame_with, FRAME_OVERHEAD};
 use hourglass_obs as obs;
 
 /// The store key of checkpoint epoch `epoch` under `prefix`.
@@ -42,7 +43,8 @@ pub struct RecoveryStats {
     pub fallback_epochs: u32,
 }
 
-/// Serializes and stores one checkpoint epoch, framed and retried.
+/// Encodes and stores one checkpoint epoch, framed and retried. The `HGC1`
+/// payload is encoded straight into its frame: one blob-sized buffer.
 pub fn save_epoch<P: VertexProgram>(
     store: &dyn CheckpointStore,
     prefix: &str,
@@ -51,12 +53,11 @@ pub fn save_epoch<P: VertexProgram>(
     retry: &RetryPolicy,
 ) -> Result<RecoveryStats> {
     let key = epoch_key(prefix, epoch);
-    let payload = serde_json::to_vec(ckpt)
-        .map_err(|e| EngineError::Checkpoint(format!("serialize epoch {epoch}: {e}")))?;
+    let blob = frame_with(ckpt.encoded_len_hint(), |out| ckpt.encode(out));
     let _span = obs::span("ckpt_save_epoch", "ckpt")
         .arg("epoch", epoch as u64)
-        .arg("bytes", payload.len() as u64);
-    let (res, stats) = retry.run(|_| put_framed(store, &key, &payload));
+        .arg("bytes", (blob.len() - FRAME_OVERHEAD) as u64);
+    let (res, stats) = retry.run(|_| store.put(&key, &blob));
     res?;
     Ok(RecoveryStats {
         retries: stats.attempts - 1,
@@ -108,7 +109,7 @@ pub fn load_latest(
 
 /// Restores the engine from the newest valid epoch at or below
 /// `max_epoch`, degrading past corrupt epochs (including blobs whose
-/// frame verifies but whose payload fails to deserialize).
+/// frame verifies but whose payload is not a checkpoint of this job).
 ///
 /// Returns the epoch restored and the recovery stats, `Ok(None)` when no
 /// epoch exists, or a typed error when every present epoch is unusable.
@@ -128,8 +129,9 @@ pub fn restore_latest<P: VertexProgram>(
                 stats.retries += inner.retries;
                 stats.backoff_ns += inner.backoff_ns;
                 stats.fallback_epochs += inner.fallback_epochs;
-                match serde_json::from_slice::<EngineCheckpoint<P::Value, P::Message>>(&payload) {
+                match engine.decode_checkpoint(&payload) {
                     Ok(ckpt) => {
+                        drop(payload);
                         engine.restore_state(ckpt)?;
                         return Ok(Some((found, stats)));
                     }
@@ -236,8 +238,74 @@ mod tests {
             .expect("load")
             .expect("found");
         assert_eq!(found, 0);
-        let old: EngineCheckpoint<u32, u32> = serde_json::from_slice(&payload).expect("decode");
+        let old = fresh.decode_checkpoint(&payload).expect("decode");
         assert_eq!(old.values, expect_values);
+    }
+
+    /// Runs `program` for `cut` supersteps on every k_from, saves, restores
+    /// onto every k_to and finishes: the restored engine holds the snapshot
+    /// to the bit, and ends where the uninterrupted run ends.
+    fn round_trip_across_k<P: VertexProgram + Copy>(
+        program: P,
+        g: &hourglass_graph::Graph,
+        cut: usize,
+        same: impl Fn(&P::Value, &P::Value) -> bool,
+    ) {
+        let engine = |k: u32| {
+            let p = HashPartitioner.partition(g, k).expect("partition");
+            BspEngine::new(program, g, p, EngineConfig::default()).expect("engine")
+        };
+        let encoded = |e: &BspEngine<'_, P>| {
+            let mut bytes = Vec::new();
+            e.checkpoint_state().encode(&mut bytes);
+            bytes
+        };
+        let retry = RetryPolicy::default();
+        let name = program.name();
+        let mut whole = engine(1);
+        whole.run().expect("run");
+        let want = whole.into_values();
+        for k_from in [1u32, 2, 4, 8] {
+            let mut a = engine(k_from);
+            for _ in 0..cut {
+                a.step().expect("step");
+            }
+            let store = MemoryStore::new();
+            let snapshot = a.checkpoint_state();
+            save_epoch::<P>(&store, name, cut, &snapshot, &retry).expect("save");
+            for k_to in [1u32, 2, 4, 8] {
+                let at = format!("{name} {k_from} -> {k_to}");
+                let mut b = engine(k_to);
+                let found = restore_latest(&mut b, &store, name, cut, &retry).expect("restore");
+                assert_eq!(found, Some((cut, RecoveryStats::default())), "{at}");
+                assert_eq!(b.superstep(), a.superstep(), "{at}");
+                // Equal bytes: values, flags, mail and aggregates came back
+                // bit for bit, floats included.
+                assert!(encoded(&b) == encoded(&a), "{at}: restored state differs");
+                b.run().expect("run");
+                let got = b.into_values();
+                assert!(
+                    got.len() == want.len() && got.iter().zip(&want).all(|(x, y)| same(x, y)),
+                    "{at}: final values differ"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_program_round_trips_a_checkpoint_across_worker_counts() {
+        use crate::apps::*;
+        let g = generators::rmat(7, 8, generators::RmatParams::SOCIAL, 3).expect("gen");
+        // Sums fold in an order that depends on k; everything else is exact.
+        round_trip_across_k(PageRank::fixed(8), &g, 3, |a, b| (a - b).abs() < 1e-12);
+        round_trip_across_k(Sssp { source: 7 }, &g, 2, |a, b| a.to_bits() == b.to_bits());
+        round_trip_across_k(GraphColoring::default(), &g, 2, |a, b| a == b);
+        round_trip_across_k(Wcc, &g, 2, |a, b| a == b);
+        round_trip_across_k(Bfs { source: 7 }, &g, 2, |a, b| a == b);
+        round_trip_across_k(DegreeCount, &g, 1, |a, b| a == b);
+        round_trip_across_k(TriangleCount, &g, 1, |a, b| a == b);
+        round_trip_across_k(KCore { k: 3 }, &g, 2, |a, b| a == b);
+        round_trip_across_k(LabelPropagation { rounds: 5 }, &g, 3, |a, b| a == b);
     }
 
     #[test]

@@ -24,9 +24,11 @@ use crate::{GraphError, Result};
 /// CRC32C polynomial (Castagnoli), reflected.
 const POLY: u32 = 0x82F6_3B78;
 
-/// 256-entry lookup table, built at compile time.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 lookup tables, built at compile time: `TABLES[0]` is the
+/// byte-at-a-time table, `TABLES[k][b]` the CRC of byte `b` followed by `k`
+/// zero bytes, so eight table reads advance the checksum by eight bytes.
+const TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -39,10 +41,20 @@ const TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC32C of `data` (initial value 0, i.e. a fresh stream).
@@ -52,11 +64,23 @@ pub fn crc32c(data: &[u8]) -> u32 {
 }
 
 /// Extends a running CRC32C with more bytes (streamed checksumming).
-#[inline]
 pub fn crc32c_append(crc: u32, data: &[u8]) -> u32 {
     let mut crc = !crc;
-    for &b in data {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][(lo >> 8 & 0xFF) as usize]
+            ^ TABLES[5][(lo >> 16 & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][(hi >> 8 & 0xFF) as usize]
+            ^ TABLES[1][(hi >> 16 & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -67,13 +91,27 @@ pub const FRAME_MAGIC: &[u8; 4] = b"HGF1";
 /// Fixed framing overhead in bytes (magic + length prefix + checksum).
 pub const FRAME_OVERHEAD: usize = 4 + 8 + 4;
 
+/// Bytes of a frame ahead of its payload (magic + length prefix).
+const FRAME_HEADER: usize = 4 + 8;
+
 /// Wraps `payload` in a checksummed, length-prefixed frame.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
+    frame_with(payload.len(), |out| out.extend_from_slice(payload))
+}
+
+/// Builds a frame around the payload `fill` appends to the buffer it is
+/// handed: a large payload is encoded once, in the place it is stored
+/// from, instead of being built and then copied behind a header.
+/// `payload_hint` sizes the buffer; a payload that outgrows it reallocates.
+pub fn frame_with(payload_hint: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload_hint + FRAME_OVERHEAD);
     out.extend_from_slice(FRAME_MAGIC);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32c(payload).to_le_bytes());
+    out.extend_from_slice(&[0; 8]);
+    fill(&mut out);
+    let len = (out.len() - FRAME_HEADER) as u64;
+    out[4..FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32c(&out[FRAME_HEADER..]);
+    out.extend_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -96,8 +134,9 @@ pub fn unframe(blob: &[u8]) -> Result<&[u8]> {
             message: format!("bad frame magic {:?}", &blob[..4]),
         });
     }
-    let len = u64::from_le_bytes(blob[4..12].try_into().expect("8 bytes")) as usize;
-    if blob.len() != FRAME_OVERHEAD + len {
+    let len = u64::from_le_bytes(blob[4..FRAME_HEADER].try_into().expect("8 bytes"));
+    // Compared as u64: a corrupt prefix near u64::MAX must not overflow.
+    if (blob.len() - FRAME_OVERHEAD) as u64 != len {
         return Err(GraphError::Parse {
             line: 0,
             message: format!(
@@ -106,8 +145,8 @@ pub fn unframe(blob: &[u8]) -> Result<&[u8]> {
             ),
         });
     }
-    let payload = &blob[12..12 + len];
-    let want = u32::from_le_bytes(blob[12 + len..].try_into().expect("4 bytes"));
+    let (payload, trailer) = blob[FRAME_HEADER..].split_at(len as usize);
+    let want = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
     let got = crc32c(payload);
     if got != want {
         return Err(GraphError::Parse {
@@ -116,6 +155,15 @@ pub fn unframe(blob: &[u8]) -> Result<&[u8]> {
         });
     }
     Ok(payload)
+}
+
+/// [`unframe`] for an owned blob: verifies it and strips the frame in
+/// place, so reading a large payload allocates nothing beyond the blob.
+pub fn unframe_vec(mut blob: Vec<u8>) -> Result<Vec<u8>> {
+    let len = unframe(&blob)?.len();
+    blob.truncate(FRAME_HEADER + len);
+    blob.drain(..FRAME_HEADER);
+    Ok(blob)
 }
 
 #[cfg(test)]
@@ -142,13 +190,62 @@ mod tests {
         }
     }
 
+    /// The byte-at-a-time loop the sliced one replaced, as the reference.
+    fn bytewise_append(crc: u32, data: &[u8]) -> u32 {
+        let mut crc = !crc;
+        for &b in data {
+            crc = TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_matches_bytewise_at_every_length_and_split() {
+        // SplitMix64 bytes: every length 0..=4096 covers each tail length
+        // and word count; every split of a buffer each alignment of both.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let data: Vec<u8> = (0..4096)
+            .map(|_| {
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect();
+        for len in 0..=data.len() {
+            let start = (len * 7) % (data.len() - len + 1);
+            let piece = &data[start..start + len];
+            assert_eq!(crc32c(piece), bytewise_append(0, piece), "len {len}");
+        }
+        let whole = &data[..257];
+        let want = bytewise_append(0, whole);
+        for split in 0..=whole.len() {
+            let (a, b) = whole.split_at(split);
+            assert_eq!(crc32c_append(crc32c(a), b), want, "split {split}");
+            assert_eq!(crc32c_append(bytewise_append(0, a), b), want);
+        }
+    }
+
     #[test]
     fn frame_round_trips() {
         for payload in [&b""[..], b"x", b"some checkpoint bytes"] {
             let blob = frame(payload);
             assert_eq!(blob.len(), payload.len() + FRAME_OVERHEAD);
             assert_eq!(unframe(&blob).expect("unframe"), payload);
+            // Built in place and stripped in place, the same bytes.
+            let built = frame_with(0, |out| out.extend_from_slice(payload));
+            assert_eq!(built, blob);
+            assert_eq!(unframe_vec(blob).expect("unframe"), payload);
         }
+    }
+
+    #[test]
+    fn length_prefix_near_u64_max_is_rejected_not_overflowed() {
+        let mut blob = frame(b"payload");
+        blob[4..12].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(unframe(&blob).is_err());
+        assert!(unframe_vec(blob).is_err());
     }
 
     #[test]

@@ -6,7 +6,6 @@
 
 use hourglass::engine::apps::{coloring_is_proper, GraphColoring, PageRank};
 use hourglass::engine::checkpoint::{CheckpointStore, MemoryStore};
-use hourglass::engine::engine::EngineCheckpoint;
 use hourglass::engine::loaders::{loaded_adjacency, micro_load, reload_graph, Datastore};
 use hourglass::engine::{BspEngine, EngineConfig};
 use hourglass::graph::datasets::Dataset;
@@ -38,7 +37,9 @@ fn eviction_recovery_preserves_results() {
         engine.step().expect("step");
     }
     let store = MemoryStore::new();
-    let blob = serde_json::to_vec(&engine.checkpoint_state()).expect("serialize");
+    let snapshot = engine.checkpoint_state();
+    let mut blob = Vec::new();
+    snapshot.encode(&mut blob);
     store.put("ckpt-superstep-6", &blob).expect("put");
 
     // Reference: finish on the original deployment.
@@ -58,7 +59,10 @@ fn eviction_recovery_preserves_results() {
         .get("ckpt-superstep-6")
         .expect("get")
         .expect("checkpoint exists");
-    let ckpt: EngineCheckpoint<f64, f64> = serde_json::from_slice(&blob).expect("deserialize");
+    let ckpt = recovered.decode_checkpoint(&blob).expect("decode");
+    // Binary all the way: the ranks come back to the bit.
+    let bits = |ranks: &[f64]| ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&ckpt.values), bits(&snapshot.values));
     recovered.restore_state(ckpt).expect("restore");
     assert_eq!(recovered.superstep(), 6);
     recovered.run().expect("run");
