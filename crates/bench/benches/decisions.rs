@@ -2,7 +2,7 @@
 //! run's decision loop re-evaluates `EC(t, w)` every chunk, so what
 //! matters is not one cold call (see `expected_cost` bench) but
 //! decisions/second across a *sequence* of calls. Compares the fresh
-//! `HashMap`-per-decision path ([`expected_cost_approx`]) against the
+//! memo-per-decision path ([`expected_cost_approx`]) against the
 //! reused memo arena ([`expected_cost_approx_in`]) that
 //! `HourglassStrategy` holds across the decisions of one run.
 

@@ -59,11 +59,13 @@ pub trait EvictionProcess: std::fmt::Debug + Send + Sync {
 pub type DynEviction = Arc<dyn EvictionProcess>;
 
 /// Empirical CDF of time-to-eviction for one market at one bid level.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EvictionModel {
     /// Sorted uptimes (seconds) at which sampled launches were evicted.
-    /// Shared so cloning a model (one per candidate per decision) is O(1).
+    /// Shared so cloning a model is O(1).
     eviction_times: Arc<Vec<f64>>,
+    /// Monotone cell index over `eviction_times` (see [`CellIndex`]).
+    cells: Arc<CellIndex>,
     /// Total number of samples, including launches that survived the whole
     /// observation window (censored).
     total_samples: usize,
@@ -75,6 +77,74 @@ pub struct EvictionModel {
     /// already exceeded the bid (the instance could not have been acquired
     /// there, so counting it as an uptime-0 eviction would bias the CDF).
     rejected_starts: usize,
+}
+
+/// Equal-width cells over `[0, largest sample]`, each holding the range of
+/// the sorted sample array that falls into it, so a CDF look-up searches
+/// one cell (about one sample) instead of the whole array.
+///
+/// Exactness rests on one property only: `cell_of` is monotone
+/// non-decreasing in its argument. Then every sample in a cell before
+/// `cell_of(u)` is `< u` and every sample in a cell after it is `> u`, so
+/// the partition point of `t <= u` lies inside `range(u)` and searching
+/// there returns the very index a search of the whole array returns — for
+/// every `u`, `NaN` and `±∞` included (`NaN` maps to cell 0, where the
+/// predicate is false everywhere: index 0 either way).
+#[derive(Debug)]
+struct CellIndex {
+    /// `starts[c]..starts[c + 1]` is cell `c`; at least two entries.
+    starts: Vec<usize>,
+    /// Cells per second: finite and non-negative.
+    scale: f64,
+}
+
+impl CellIndex {
+    /// One cell spanning all `len` samples: every look-up is the plain
+    /// whole-array search. What sample sets without a usable span get
+    /// (none, all `<= 0`, an infinite largest sample).
+    fn single(len: usize) -> Self {
+        CellIndex {
+            starts: vec![0, len],
+            scale: 0.0,
+        }
+    }
+
+    /// Indexes `sorted` (ascending, no `NaN`) with one cell per sample.
+    fn build(sorted: &[f64]) -> Self {
+        let cells = sorted.len();
+        let span = sorted.last().copied().unwrap_or(0.0);
+        let scale = if span > 0.0 { cells as f64 / span } else { 0.0 };
+        if !(scale > 0.0 && scale.is_finite()) {
+            return Self::single(cells);
+        }
+        let mut index = CellIndex {
+            starts: vec![0; cells + 1],
+            scale,
+        };
+        // Count per cell (shifted by one), then prefix-sum into starts.
+        for &t in sorted {
+            let c = index.cell_of(t);
+            index.starts[c + 1] += 1;
+        }
+        for c in 0..cells {
+            index.starts[c + 1] += index.starts[c];
+        }
+        index
+    }
+
+    /// Monotone in `x`: the product by a non-negative finite scale, the
+    /// saturating cast (negatives and `NaN` to 0) and the clamp all are.
+    #[inline]
+    fn cell_of(&self, x: f64) -> usize {
+        ((x * self.scale) as usize).min(self.starts.len() - 2)
+    }
+
+    /// The sample range that holds the partition point of `t <= x`.
+    #[inline]
+    fn range(&self, x: f64) -> (usize, usize) {
+        let c = self.cell_of(x);
+        (self.starts[c], self.starts[c + 1])
+    }
 }
 
 impl EvictionModel {
@@ -142,6 +212,7 @@ impl EvictionModel {
         eviction_times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let mttf = Self::compute_mttf(&eviction_times, samples, window);
         Ok(EvictionModel {
+            cells: Arc::new(CellIndex::build(&eviction_times)),
             eviction_times: Arc::new(eviction_times),
             total_samples: samples,
             window,
@@ -181,6 +252,7 @@ impl EvictionModel {
         eviction_times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let mttf = Self::compute_mttf(&eviction_times, total_samples, window);
         Ok(EvictionModel {
+            cells: Arc::new(CellIndex::build(&eviction_times)),
             eviction_times: Arc::new(eviction_times),
             total_samples,
             window,
@@ -205,8 +277,10 @@ impl EvictionModel {
         if uptime <= 0.0 {
             return 0.0;
         }
-        // Number of eviction samples <= uptime via binary search.
-        let idx = self.eviction_times.partition_point(|&t| t <= uptime);
+        // Number of eviction samples <= uptime: a binary search inside the
+        // one cell of the index that can hold the partition point.
+        let (lo, hi) = self.cells.range(uptime);
+        let idx = lo + self.eviction_times[lo..hi].partition_point(|&t| t <= uptime);
         idx as f64 / self.total_samples as f64
     }
 
@@ -278,6 +352,7 @@ impl EvictionProcess for EvictionModel {
 pub fn reliable() -> EvictionModel {
     EvictionModel {
         eviction_times: Arc::new(Vec::new()),
+        cells: Arc::new(CellIndex::single(0)),
         total_samples: 1,
         window: f64::MAX,
         mttf: f64::MAX,
@@ -549,6 +624,106 @@ mod tests {
             assert!(c >= last);
             last = c;
         }
+    }
+
+    /// `cdf` as it was before the cell index: one search of all samples.
+    fn plain_cdf(m: &EvictionModel, uptime: f64) -> f64 {
+        if uptime <= 0.0 {
+            return 0.0;
+        }
+        let idx = m.eviction_times().partition_point(|&t| t <= uptime);
+        idx as f64 / m.total_samples() as f64
+    }
+
+    /// Every sample, its two neighbouring floats, and the values a caller
+    /// can get wrong.
+    fn probes(m: &EvictionModel, rng: &mut StdRng) -> Vec<f64> {
+        let mut probes = vec![
+            0.0,
+            -0.0,
+            -1.0,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            f64::NAN,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            m.window(),
+            m.window().next_down(),
+            m.window().next_up(),
+        ];
+        for &t in m.eviction_times() {
+            probes.extend([t, t.next_down(), t.next_up()]);
+        }
+        let top = m.eviction_times().last().copied().unwrap_or(1.0).abs() * 1.5 + 1.0;
+        if top.is_finite() {
+            probes.extend((0..500).map(|_| rng.gen_range(0.0..top)));
+        }
+        probes
+    }
+
+    #[test]
+    fn indexed_cdf_equals_plain_search_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0xCDF1);
+        let window = 86_400.0;
+        let mut sets: Vec<Vec<f64>> = vec![
+            vec![],
+            vec![1234.5],
+            vec![0.0],
+            vec![window],
+            vec![777.0; 300],
+            vec![window; 40],
+            vec![window.next_down(), window, window.next_up()],
+            // Hostile: nothing positive, an infinite sample, subnormal and
+            // astronomically large spans.
+            vec![-5.0, -1.0, 0.0],
+            vec![-3.0, 10.0, 20.0, f64::INFINITY],
+            vec![f64::MIN_POSITIVE, 5e-324, 1e-310],
+            vec![1.0, f64::MAX],
+        ];
+        for n in [2, 3, 17, 2000] {
+            // Uniform, then skewed toward 0 the way fitted lifetimes are,
+            // then a few distinct values repeated many times.
+            sets.push((0..n).map(|_| rng.gen_range(0.0..window)).collect());
+            sets.push(
+                (0..n)
+                    .map(|_| -rng.gen_range(1e-9..1.0f64).ln() * 1800.0)
+                    .collect(),
+            );
+            sets.push(
+                (0..n)
+                    .map(|_| f64::from(rng.gen_range(0..5u32)) * 600.0)
+                    .collect(),
+            );
+        }
+        let mut checked = 0usize;
+        for samples in sets {
+            let total = samples.len() + rng.gen_range(1..4usize);
+            let m = EvictionModel::from_samples(samples, total, window).expect("valid");
+            for u in probes(&m, &mut rng) {
+                assert_eq!(
+                    m.cdf(u).to_bits(),
+                    plain_cdf(&m, u).to_bits(),
+                    "cdf({u:e}) over {:?}…",
+                    &m.eviction_times()[..m.eviction_times().len().min(4)]
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 20_000, "only {checked} probes");
+    }
+
+    #[test]
+    fn reliable_takes_the_single_cell() {
+        let m = reliable();
+        assert_eq!(m.cells.starts, vec![0, 0]);
+        assert_eq!(m.cells.scale, 0.0);
+        for u in [0.0, 1.0, f64::MAX, f64::INFINITY, f64::NAN, -1.0] {
+            assert_eq!(m.cdf(u), 0.0, "cdf({u})");
+        }
+        // So does a fitted model whose every launch survived.
+        let none = EvictionModel::from_samples(vec![], 5, 100.0).expect("valid");
+        assert_eq!(none.cells.starts, vec![0, 0]);
+        assert_eq!(none.cdf(f64::INFINITY), 0.0);
     }
 
     #[test]

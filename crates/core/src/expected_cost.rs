@@ -17,10 +17,8 @@
 //! billed for their setup time (boot + load), which the simulator bills in
 //! reality as well; infeasible candidates cost `∞`.
 
-use crate::model::{CurrentDeployment, DecisionContext};
+use crate::model::{Candidate, CurrentDeployment, DecisionContext};
 use crate::{CoreError, Result};
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
 use std::time::{Duration, Instant};
 
 /// Tuning of the fast approximation.
@@ -59,60 +57,67 @@ pub struct EcEstimate {
 
 const EPS_WORK: f64 = 1e-9;
 
-/// Memoization key of the approximation. The three key spaces are
-/// distinct enum variants, so an extreme uptime or time bucket can never
-/// collide with another space (the previous packed-tuple encoding reused
-/// `u32::MAX`/`u32::MAX − 1` as sentinels, which a large enough bucketed
-/// uptime could alias). Every variant also carries the failure-look-ahead
-/// `depth`: values computed near the depth limit collapse their follow-ups
-/// to the last-resort cost, so a row written at depth `d` is pessimistic
-/// relative to the same `(t, w)` state at depth `d − 1` and must never be
-/// served to it (the packed-tuple scheme ignored depth, letting a
-/// shallow-look-ahead row poison the root minimization whenever two depths
-/// landed in the same time bucket).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum MemoKey {
+/// The key spaces of the memo. They are distinct values of one field, so
+/// an extreme uptime or time bucket can never collide with another space
+/// (an early packed-tuple encoding reused `u32::MAX`/`u32::MAX − 1` as
+/// sentinels, which a large enough bucketed uptime could alias).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum KeySpace {
     /// `EC(t, w)`: the all-candidates minimum.
-    All {
-        /// Bucketed `ctx.now`.
-        t: u64,
-        /// Bucketed `ctx.work_left`.
-        w: u64,
-        /// Failure-look-ahead depth the value was computed at.
-        depth: usize,
-    },
-    /// `EC(t, w)|c` for a fresh deployment of candidate `cand`.
-    Fresh {
-        /// Candidate index.
-        cand: usize,
-        /// Bucketed `ctx.now`.
-        t: u64,
-        /// Bucketed `ctx.work_left`.
-        w: u64,
-        /// Failure-look-ahead depth the value was computed at.
-        depth: usize,
-        /// Whether the state still holds a live deployment to migrate
-        /// from (`ctx.current.is_some()`). A switch away from a held
-        /// deployment is priced at `t_load_delta`, while the same `(t, w)`
-        /// state reached through an eviction pays the full `t_load` —
-        /// without this bit the root minimization (delta pricing) and the
-        /// failure-branch recursion (full-reload pricing) would share a
-        /// memo row.
-        delta: bool,
-    },
-    /// `EC(t, w)|c` continuing candidate `cand` at a bucketed uptime.
-    Continuation {
-        /// Candidate index.
-        cand: usize,
-        /// Bucketed deployment uptime.
-        uptime: u64,
-        /// Bucketed `ctx.now`.
-        t: u64,
-        /// Bucketed `ctx.work_left`.
-        w: u64,
-        /// Failure-look-ahead depth the value was computed at.
-        depth: usize,
-    },
+    #[default]
+    All,
+    /// `EC(t, w)|c` for a fresh deployment of `cand` with nothing held
+    /// (job start or eviction recovery): the full `t_load` is paid.
+    FreshEvicted,
+    /// `EC(t, w)|c` for a switch to `cand` away from a still-held
+    /// deployment, priced at `t_load_delta`. The same `(t, w)` state
+    /// reached through an eviction pays the full `t_load` — were the two
+    /// one space, the root minimization (delta pricing) and the
+    /// failure-branch recursion (full-reload pricing) would share a row.
+    FreshHeld,
+    /// `EC(t, w)|c` continuing `cand` at a bucketed uptime.
+    Continuation,
+}
+
+/// Memoization key of the approximation: every field is compared in full,
+/// none is folded into another. The failure-look-ahead `depth` is part of
+/// it because values computed near the depth limit collapse their
+/// follow-ups to the last-resort cost: a row written at depth `d` is
+/// pessimistic relative to the same `(t, w)` state at depth `d − 1` and
+/// must never be served to it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct MemoKey {
+    /// Bucketed `now`.
+    t: u64,
+    /// Bucketed `work_left`.
+    w: u64,
+    /// Bucketed deployment uptime (`Continuation` only, else 0).
+    uptime: u64,
+    /// Candidate index (0 for `All`).
+    cand: usize,
+    /// Failure-look-ahead depth the value was computed at.
+    depth: u32,
+    space: KeySpace,
+}
+
+impl MemoKey {
+    /// One Fx-style multiply-xor pass over the key's five words. The
+    /// table indexes by the *high* bits, where the multiplications have
+    /// pushed every word's entropy.
+    #[inline]
+    fn hash(&self) -> u64 {
+        const FX_SEED: u64 = 0x517c_c1b7_2722_0a95;
+        let words = [
+            self.t,
+            self.w,
+            self.uptime,
+            self.cand as u64,
+            u64::from(self.depth) << 8 | self.space as u64,
+        ];
+        words.iter().fold(0u64, |h, &word| {
+            (h.rotate_left(5) ^ word).wrapping_mul(FX_SEED)
+        })
+    }
 }
 
 /// Buckets a validated non-negative finite quantity. `validate` rejects
@@ -124,83 +129,159 @@ fn bucket(v: f64, size: f64) -> u64 {
     (v / size) as u64
 }
 
-// A Fx-style multiply-xor hasher for the memo table: the keys are a
-// handful of machine words and the decision hot loop probes the table
-// millions of times, where SipHash's per-lookup cost dominates. Written
-// in-tree to keep the workspace dependency-free.
-const FX_SEED: u64 = 0x517c_c1b7_2722_0a95;
-
-#[derive(Default)]
-struct FxHasher {
-    hash: u64,
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    key: MemoKey,
+    value: f64,
+    /// The slot is live iff this equals the table's stamp (never 0, which
+    /// is what a vacant slot starts with).
+    stamp: u32,
 }
 
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
+/// Flat open-addressing (linear probing) table with a generation stamp:
+/// the recursion misses on ≈ 99.7% of its look-ups and then inserts, so
+/// what counts is one hash per look-up (shared by the `get` and the
+/// `insert` that follows it), a miss that reads one slot, and a reset that
+/// does not touch the slots.
+#[derive(Debug)]
+struct MemoTable {
+    /// Power-of-two length, at most half of it live.
+    slots: Vec<Slot>,
+    /// `64 − log2(slots.len())`: a hash's high bits are its home slot.
+    shift: u32,
+    stamp: u32,
+    live: usize,
 }
 
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
+impl MemoTable {
+    const MIN_SLOTS: usize = 64;
 
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
+    fn with_slots(slots: usize) -> Self {
+        debug_assert!(slots.is_power_of_two() && slots >= 2);
+        MemoTable {
+            slots: vec![Slot::default(); slots],
+            shift: 64 - slots.trailing_zeros(),
+            stamp: 1,
+            live: 0,
         }
     }
 
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.add(v as u64);
+    /// Forgets every entry in O(1); the slots are rewritten only when the
+    /// stamp wraps (once per 2³² decisions).
+    fn reset(&mut self) {
+        self.live = 0;
+        if self.stamp == u32::MAX {
+            self.slots.iter_mut().for_each(|slot| slot.stamp = 0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
     }
 
     #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(v as u64);
+    fn get(&self, hash: u64, key: &MemoKey) -> Option<f64> {
+        let mask = self.slots.len() - 1;
+        let mut at = (hash >> self.shift) as usize;
+        loop {
+            let slot = &self.slots[at];
+            if slot.stamp != self.stamp {
+                return None;
+            }
+            if slot.key == *key {
+                return Some(slot.value);
+            }
+            at = (at + 1) & mask;
+        }
     }
 
+    /// Writes `value` under `key`, replacing the value of a live row with
+    /// the same key (`HashMap::insert` semantics: a success chain short
+    /// enough to stay inside one bucket writes its row twice, and the
+    /// outer — last — value is the one later look-ups are served).
     #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
+    fn insert(&mut self, hash: u64, key: MemoKey, value: f64) {
+        let mask = self.slots.len() - 1;
+        let mut at = (hash >> self.shift) as usize;
+        loop {
+            let slot = &mut self.slots[at];
+            if slot.stamp != self.stamp {
+                *slot = Slot {
+                    key,
+                    value,
+                    stamp: self.stamp,
+                };
+                self.live += 1;
+                if self.live * 2 > self.slots.len() {
+                    self.grow();
+                }
+                return;
+            }
+            if slot.key == key {
+                slot.value = value;
+                return;
+            }
+            at = (at + 1) & mask;
+        }
     }
 
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
+    #[cold]
+    fn grow(&mut self) {
+        let mut grown = MemoTable::with_slots(self.slots.len() * 2);
+        grown.stamp = self.stamp;
+        for slot in self.slots.iter().filter(|slot| slot.stamp == self.stamp) {
+            grown.insert(slot.key.hash(), slot.key, slot.value);
+        }
+        *self = grown;
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct FxBuildHasher;
+/// What the recursion reads of one candidate, copied out once per
+/// decision so a node touches one 64-byte row instead of the `Candidate`,
+/// its `Arc<dyn EvictionProcess>` (`mttf`) and a `sqrt` (Daly).
+#[derive(Debug, Clone, Copy)]
+struct CandidateRow {
+    transient: bool,
+    t_exec: f64,
+    t_load: f64,
+    t_load_delta: f64,
+    t_save: f64,
+    /// `price_rate / 3600`: dollars per second.
+    rate: f64,
+    /// `Candidate::checkpoint_interval()`.
+    t_ckpt: f64,
+    mttf: f64,
+}
 
-impl BuildHasher for FxBuildHasher {
-    type Hasher = FxHasher;
-
-    #[inline]
-    fn build_hasher(&self) -> FxHasher {
-        FxHasher::default()
-    }
+/// The last-resort configuration of one decision.
+#[derive(Debug, Clone, Copy)]
+struct LastResort {
+    index: usize,
+    /// `Candidate::t_fixed(t_boot)`.
+    t_fixed: f64,
+    t_exec: f64,
 }
 
 /// Reusable memoization arena for the §5.3 approximation.
 ///
 /// Memoized values are only meaningful for a single decision (candidate
 /// prices and eviction models change between decisions), so every
-/// [`expected_cost_approx_in`] call clears the table — but clearing a
-/// `HashMap` retains its allocation, so a memo carried across the
-/// decisions of one simulated run skips the rehash-and-regrow churn that
-/// a fresh table pays on every call.
-#[derive(Debug, Default)]
+/// [`expected_cost_approx_in`] call forgets them — by bumping a generation
+/// stamp, which leaves the table's allocation and its slots untouched. The
+/// arena also owns the buffer of the per-decision candidate table, so a
+/// memo carried across the decisions of one simulated run allocates
+/// nothing once it has grown to the largest decision it has seen.
+#[derive(Debug)]
 pub struct EcMemo {
-    table: HashMap<MemoKey, f64, FxBuildHasher>,
+    table: MemoTable,
+    rows: Vec<CandidateRow>,
+}
+
+impl Default for EcMemo {
+    fn default() -> Self {
+        EcMemo {
+            table: MemoTable::with_slots(MemoTable::MIN_SLOTS),
+            rows: Vec::new(),
+        }
+    }
 }
 
 impl EcMemo {
@@ -212,16 +293,12 @@ impl EcMemo {
     /// Number of memoized entries (after a call: the states explored by
     /// the last decision).
     pub fn len(&self) -> usize {
-        self.table.len()
+        self.table.live
     }
 
     /// True when no entries are memoized.
     pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-
-    fn reset(&mut self) {
-        self.table.clear();
+        self.table.live == 0
     }
 }
 
@@ -237,22 +314,24 @@ pub fn expected_cost_approx(ctx: &DecisionContext<'_>, params: &EcParams) -> Res
 
 /// [`expected_cost_approx`] evaluated in a caller-provided memo arena.
 ///
-/// The arena is cleared on entry (memoized values never survive a change
-/// of candidate prices) but keeps its allocation, which is what makes a
-/// per-run arena measurably faster than a fresh `HashMap` per decision.
+/// The arena's entries are forgotten on entry (memoized values never
+/// survive a change of candidate prices) but it keeps its allocations,
+/// which is what makes a per-run arena measurably faster than a fresh one
+/// per decision.
 pub fn expected_cost_approx_in(
     ctx: &DecisionContext<'_>,
     params: &EcParams,
     memo: &mut EcMemo,
 ) -> Result<EcEstimate> {
     validate(ctx, params.time_bucket)?;
-    memo.reset();
+    memo.table.reset();
+    let (mut eval, state) = Evaluator::prepare(ctx, params, memo);
     let mut best = EcEstimate {
         best: None,
         cost: f64::INFINITY,
     };
     for i in 0..ctx.candidates.len() {
-        let cost = approx_cost_of(ctx, i, params, memo, 0);
+        let cost = eval.cost_of(state, i, 0, None);
         if cost < best.cost {
             best = EcEstimate {
                 best: Some(i),
@@ -281,195 +360,324 @@ pub fn expected_cost_of_candidate(
     Ok(approx_cost_of(ctx, i, params, &mut memo, 0))
 }
 
-/// `EC(t, w)` over all candidates with full re-decision (approximation),
-/// used for the failure follow-ups.
-fn approx_ec_all(
-    ctx: &DecisionContext<'_>,
-    params: &EcParams,
-    memo: &mut EcMemo,
-    depth: usize,
-) -> f64 {
-    if ctx.work_left <= EPS_WORK {
-        return 0.0;
-    }
-    if depth >= params.max_depth {
-        return lrc_cost(ctx);
-    }
-    let key = MemoKey::All {
-        t: bucket(ctx.now, params.time_bucket),
-        w: bucket(ctx.work_left, params.work_bucket),
-        depth,
-    };
-    if let Some(&c) = memo.table.get(&key) {
-        return c;
-    }
-    // Seed with the lrc cost to keep recursion bounded even while the memo
-    // entry is being computed (re-entrancy through the failure branch).
-    memo.table.insert(key, lrc_cost(ctx));
-    let mut best = f64::INFINITY;
-    for i in 0..ctx.candidates.len() {
-        let c = approx_cost_of(ctx, i, params, memo, depth);
-        if c < best {
-            best = c;
-        }
-    }
-    memo.table.insert(key, best);
-    best
-}
-
-/// `EC(t, w)|c` under the approximation.
+/// `EC(t, w)|c` under the approximation, at failure-look-ahead `depth`,
+/// in a memo that is *not* reset: rows written by earlier calls for the
+/// same candidate set are served.
 fn approx_cost_of(
     ctx: &DecisionContext<'_>,
     i: usize,
     params: &EcParams,
     memo: &mut EcMemo,
-    depth: usize,
+    depth: u32,
 ) -> f64 {
-    if ctx.work_left <= EPS_WORK {
-        return 0.0;
-    }
-    if depth >= params.max_depth {
-        return lrc_cost(ctx);
-    }
-    // Per-candidate memoization: continuations are keyed by bucketed
-    // uptime, fresh deployments by their own variant (no sentinel values
-    // a legitimate bucket could alias).
-    let t = bucket(ctx.now, params.time_bucket);
-    let w = bucket(ctx.work_left, params.work_bucket);
-    let key = if ctx.is_continuation(i) {
-        let uptime = ctx.current.map(|cur| cur.uptime).unwrap_or(0.0);
-        MemoKey::Continuation {
-            cand: i,
-            uptime: bucket(uptime, params.time_bucket),
-            t,
-            w,
-            depth,
-        }
-    } else {
-        MemoKey::Fresh {
-            cand: i,
-            t,
-            w,
-            depth,
-            delta: ctx.current.is_some(),
-        }
-    };
-    if let Some(&cached) = memo.table.get(&key) {
-        return cached;
-    }
-    let result = approx_cost_of_uncached(ctx, i, params, memo, depth);
-    memo.table.insert(key, result);
-    result
+    let (mut eval, state) = Evaluator::prepare(ctx, params, memo);
+    eval.cost_of(state, i, depth, None)
 }
 
-fn approx_cost_of_uncached(
-    ctx: &DecisionContext<'_>,
-    i: usize,
-    params: &EcParams,
-    memo: &mut EcMemo,
-    depth: usize,
-) -> f64 {
-    let c = &ctx.candidates[i];
-    if !c.is_transient() {
-        // Third branch of EC: on-demand.
-        return if ctx.on_demand_feasible(i) {
-            c.price_rate / 3600.0 * (ctx.work_left * c.t_exec + c.t_save)
+/// The part of a [`DecisionContext`] the recursion changes from node to
+/// node; everything else sits in the [`Evaluator`].
+#[derive(Debug, Clone, Copy)]
+struct State {
+    now: f64,
+    work_left: f64,
+    current: Option<CurrentDeployment>,
+}
+
+impl State {
+    /// Uptime of the held deployment if it is candidate `i` — selecting
+    /// `i` is then a continuation (`DecisionContext::is_continuation`).
+    #[inline]
+    fn continued_uptime(&self, i: usize) -> Option<f64> {
+        match self.current {
+            Some(cur) if cur.index == i => Some(cur.uptime),
+            _ => None,
+        }
+    }
+}
+
+/// The §5.3 recursion over one decision's prepared table.
+///
+/// **Bit-identity rule.** `slack`, `useful`, `setup` (`t_boot +
+/// effective_load`) and `on_demand_feasible` below repeat the
+/// floating-point operations of `DecisionContext::{slack, useful,
+/// effective_load, on_demand_feasible}` in `model.rs`, in the same
+/// order, on the same values, so every estimate equals — bit for bit —
+/// what the recursion written against those methods returns (the test
+/// module keeps that one as the oracle). Change both or neither.
+struct Evaluator<'a> {
+    candidates: &'a [Candidate],
+    rows: &'a [CandidateRow],
+    table: &'a mut MemoTable,
+    deadline: f64,
+    t_boot: f64,
+    /// `None` when the candidate set holds no on-demand configuration.
+    lrc: Option<LastResort>,
+    time_bucket: f64,
+    work_bucket: f64,
+    max_depth: u32,
+}
+
+impl<'a> Evaluator<'a> {
+    /// Builds the decision's table in `memo`'s buffer and splits `ctx`
+    /// into the evaluator's constants and the root state.
+    fn prepare(
+        ctx: &DecisionContext<'a>,
+        params: &EcParams,
+        memo: &'a mut EcMemo,
+    ) -> (Self, State) {
+        let EcMemo { table, rows } = memo;
+        rows.clear();
+        rows.extend(ctx.candidates.iter().map(|c| CandidateRow {
+            transient: c.is_transient(),
+            t_exec: c.t_exec,
+            t_load: c.t_load,
+            t_load_delta: c.t_load_delta,
+            t_save: c.t_save,
+            rate: c.price_rate / 3600.0,
+            t_ckpt: c.checkpoint_interval(),
+            mttf: c.eviction.mttf(),
+        }));
+        let lrc = ctx.lrc_index().ok().map(|index| {
+            let c = &ctx.candidates[index];
+            LastResort {
+                index,
+                t_fixed: c.t_fixed(ctx.t_boot),
+                t_exec: c.t_exec,
+            }
+        });
+        let eval = Evaluator {
+            candidates: ctx.candidates,
+            rows,
+            table,
+            deadline: ctx.deadline,
+            t_boot: ctx.t_boot,
+            lrc,
+            time_bucket: params.time_bucket,
+            work_bucket: params.work_bucket,
+            // A look-ahead 2³² evictions deep cannot be reached, so the
+            // clamp changes no result; it lets the key hold the depth in
+            // 32 bits without aliasing.
+            max_depth: u32::try_from(params.max_depth).unwrap_or(u32::MAX),
+        };
+        let state = State {
+            now: ctx.now,
+            work_left: ctx.work_left,
+            current: ctx.current,
+        };
+        (eval, state)
+    }
+
+    /// Boot plus `DecisionContext::effective_load` charged for deploying
+    /// `i`: nothing for a continuation, the delta reload while another
+    /// deployment is still held, the full load otherwise.
+    #[inline]
+    fn setup(&self, s: &State, i: usize) -> f64 {
+        if s.continued_uptime(i).is_some() {
+            0.0
+        } else if s.current.is_some() {
+            self.t_boot + self.rows[i].t_load_delta
+        } else {
+            self.t_boot + self.rows[i].t_load
+        }
+    }
+
+    /// `DecisionContext::slack`; `None` without a last resort.
+    #[inline]
+    fn slack(&self, s: &State) -> Option<f64> {
+        let lrc = self.lrc?;
+        Some(self.deadline - s.now - lrc.t_fixed - s.work_left * lrc.t_exec)
+    }
+
+    /// `DecisionContext::useful`.
+    #[inline]
+    fn useful(&self, s: &State, i: usize) -> Option<f64> {
+        let row = &self.rows[i];
+        let burn = if s.continued_uptime(i).is_some() {
+            row.t_save
+        } else {
+            self.setup(s, i) + row.t_save
+        };
+        let slack = self.slack(s)?;
+        Some((s.work_left * row.t_exec).min(slack - burn).min(row.t_ckpt))
+    }
+
+    /// `DecisionContext::on_demand_feasible`.
+    #[inline]
+    fn on_demand_feasible(&self, s: &State, i: usize) -> bool {
+        let row = &self.rows[i];
+        s.now + self.setup(s, i) + s.work_left * row.t_exec + row.t_save <= self.deadline
+    }
+
+    /// Cost of running the rest of the job on on-demand candidate `i`
+    /// (third branch of EC), `∞` if that misses the deadline.
+    #[inline]
+    fn on_demand_cost(&self, s: &State, i: usize) -> f64 {
+        if self.on_demand_feasible(s, i) {
+            let row = &self.rows[i];
+            row.rate * (s.work_left * row.t_exec + row.t_save)
         } else {
             f64::INFINITY
+        }
+    }
+
+    /// Cost of finishing on the last-resort configuration, or `∞` if even
+    /// that fails the deadline.
+    fn lrc_cost(&self, s: &State) -> f64 {
+        if s.work_left <= EPS_WORK {
+            return 0.0;
+        }
+        match self.lrc {
+            Some(lrc) => self.on_demand_cost(s, lrc.index),
+            None => f64::INFINITY,
+        }
+    }
+
+    /// `EC(t, w)` over all candidates with full re-decision, used for the
+    /// failure follow-ups.
+    fn ec_all(&mut self, s: State, depth: u32) -> f64 {
+        if s.work_left <= EPS_WORK {
+            return 0.0;
+        }
+        if depth >= self.max_depth {
+            return self.lrc_cost(&s);
+        }
+        let key = MemoKey {
+            t: bucket(s.now, self.time_bucket),
+            w: bucket(s.work_left, self.work_bucket),
+            uptime: 0,
+            cand: 0,
+            depth,
+            space: KeySpace::All,
         };
-    }
-    // Fourth branch: transient.
-    let useful = match ctx.useful(i) {
-        Ok(u) => u,
-        Err(_) => return f64::INFINITY,
-    };
-    if useful <= 0.0 {
-        // Second branch: selecting c would compromise the deadline.
-        return f64::INFINITY;
-    }
-    let continuation = ctx.is_continuation(i);
-    // `effective_load` prices a switch away from a still-held deployment
-    // as a delta migration (`t_load_delta`) instead of a full reload.
-    let setup = if continuation {
-        0.0
-    } else {
-        ctx.t_boot + ctx.effective_load(i)
-    };
-    let t_int = useful + c.t_save;
-    let wall = setup + t_int;
-    let u0 = if continuation {
-        ctx.current.map(|cur| cur.uptime).unwrap_or(0.0)
-    } else {
-        0.0
-    };
-    let f0 = c.eviction.cdf(u0);
-    let f1 = c.eviction.cdf(u0 + wall);
-    let p_fail = if f0 >= 1.0 {
-        1.0
-    } else {
-        ((f1 - f0) / (1.0 - f0)).clamp(0.0, 1.0)
-    };
-    let rate = c.price_rate / 3600.0;
-    let progress = useful / c.t_exec;
-
-    // Success: checkpoint lands; §5.3 keeps the same configuration.
-    let mut total = 0.0;
-    if p_fail < 1.0 {
-        let next = ctx.at(
-            ctx.now + wall,
-            (ctx.work_left - progress).max(0.0),
-            Some(CurrentDeployment {
-                index: i,
-                uptime: u0 + wall,
-            }),
-        );
-        // Success chains do not consume failure-look-ahead depth.
-        let mut follow = approx_cost_of(&next, i, params, memo, depth);
-        if !follow.is_finite() {
-            // The same configuration is no longer selectable (slack or work
-            // exhausted): finish on the last-resort configuration.
-            follow = lrc_cost(&next);
+        let hash = key.hash();
+        if let Some(c) = self.table.get(hash, &key) {
+            return c;
         }
-        if !follow.is_finite() {
-            return f64::INFINITY;
+        let mut best = f64::INFINITY;
+        for i in 0..self.rows.len() {
+            let c = self.cost_of(s, i, depth, None);
+            if c < best {
+                best = c;
+            }
         }
-        total += (1.0 - p_fail) * (rate * wall + follow);
+        // The row cannot have been entered while it was computed: `cost_of`
+        // reaches `ec_all` only through a failure branch, which is one
+        // level deeper, and `depth` is part of the key. (So nothing could
+        // ever read a placeholder written before the loop, and none is.)
+        debug_assert!(self.table.get(hash, &key).is_none());
+        self.table.insert(hash, key, best);
+        best
     }
 
-    // Failure: evaluated at the MTTF only (§5.3); all progress since the
-    // last checkpoint is lost, and the follow-up re-decides over all
-    // candidates.
-    if p_fail > 0.0 {
-        let mttf = c.eviction.mttf();
-        let x = (mttf - u0).clamp(1.0, wall);
-        let next = ctx.at(ctx.now + x, ctx.work_left, None);
-        let follow = if depth + 1 >= params.max_depth {
-            lrc_cost(&next)
+    /// `EC(t, w)|c`, memoized. `f_uptime` is `F(uptime)` of the deployment
+    /// `s` holds, when the caller has just computed it and `i` continues
+    /// that deployment.
+    fn cost_of(&mut self, s: State, i: usize, depth: u32, f_uptime: Option<f64>) -> f64 {
+        if s.work_left <= EPS_WORK {
+            return 0.0;
+        }
+        if depth >= self.max_depth {
+            return self.lrc_cost(&s);
+        }
+        let (space, uptime) = match s.continued_uptime(i) {
+            Some(uptime) => (KeySpace::Continuation, bucket(uptime, self.time_bucket)),
+            None if s.current.is_some() => (KeySpace::FreshHeld, 0),
+            None => (KeySpace::FreshEvicted, 0),
+        };
+        let key = MemoKey {
+            t: bucket(s.now, self.time_bucket),
+            w: bucket(s.work_left, self.work_bucket),
+            uptime,
+            cand: i,
+            depth,
+            space,
+        };
+        let hash = key.hash();
+        if let Some(cached) = self.table.get(hash, &key) {
+            return cached;
+        }
+        let result = if self.rows[i].transient {
+            self.transient_cost(s, i, depth, f_uptime)
         } else {
-            approx_ec_all(&next, params, memo, depth + 1)
+            self.on_demand_cost(&s, i)
         };
-        if !follow.is_finite() {
+        self.table.insert(hash, key, result);
+        result
+    }
+
+    /// Fourth branch of EC: one checkpointed interval on transient
+    /// candidate `i`, then the success and failure follow-ups.
+    fn transient_cost(&mut self, s: State, i: usize, depth: u32, f_uptime: Option<f64>) -> f64 {
+        let row = &self.rows[i];
+        let Some(useful) = self.useful(&s, i) else {
+            return f64::INFINITY;
+        };
+        if useful <= 0.0 {
+            // Second branch: selecting c would compromise the deadline.
             return f64::INFINITY;
         }
-        total += p_fail * (rate * x + follow);
-    }
-    total
-}
+        // `setup` prices a switch away from a still-held deployment as a
+        // delta migration (`t_load_delta`) instead of a full reload.
+        let setup = self.setup(&s, i);
+        let t_int = useful + row.t_save;
+        let wall = setup + t_int;
+        let u0 = s.continued_uptime(i).unwrap_or(0.0);
+        let eviction = &self.candidates[i].eviction;
+        let f0 = f_uptime.unwrap_or_else(|| eviction.cdf(u0));
+        let f1 = eviction.cdf(u0 + wall);
+        let p_fail = if f0 >= 1.0 {
+            1.0
+        } else {
+            ((f1 - f0) / (1.0 - f0)).clamp(0.0, 1.0)
+        };
+        let progress = useful / row.t_exec;
 
-/// Cost of finishing on the last-resort configuration, or `∞` if even that
-/// fails the deadline.
-fn lrc_cost(ctx: &DecisionContext<'_>) -> f64 {
-    if ctx.work_left <= EPS_WORK {
-        return 0.0;
-    }
-    let Ok(lrc) = ctx.lrc_index() else {
-        return f64::INFINITY;
-    };
-    if ctx.on_demand_feasible(lrc) {
-        let c = &ctx.candidates[lrc];
-        c.price_rate / 3600.0 * (ctx.work_left * c.t_exec + c.t_save)
-    } else {
-        f64::INFINITY
+        // Success: checkpoint lands; §5.3 keeps the same configuration.
+        let mut total = 0.0;
+        if p_fail < 1.0 {
+            let next = State {
+                now: s.now + wall,
+                work_left: (s.work_left - progress).max(0.0),
+                current: Some(CurrentDeployment {
+                    index: i,
+                    uptime: u0 + wall,
+                }),
+            };
+            // Success chains do not consume failure-look-ahead depth. The
+            // next step conditions on `F(u0 + wall)`: the value in hand.
+            let mut follow = self.cost_of(next, i, depth, Some(f1));
+            if !follow.is_finite() {
+                // The same configuration is no longer selectable (slack or
+                // work exhausted): finish on the last-resort configuration.
+                follow = self.lrc_cost(&next);
+            }
+            if !follow.is_finite() {
+                return f64::INFINITY;
+            }
+            total += (1.0 - p_fail) * (row.rate * wall + follow);
+        }
+
+        // Failure: evaluated at the MTTF only (§5.3); all progress since the
+        // last checkpoint is lost, and the follow-up re-decides over all
+        // candidates.
+        if p_fail > 0.0 {
+            let x = (row.mttf - u0).clamp(1.0, wall);
+            let next = State {
+                now: s.now + x,
+                work_left: s.work_left,
+                current: None,
+            };
+            let follow = if depth + 1 >= self.max_depth {
+                self.lrc_cost(&next)
+            } else {
+                self.ec_all(next, depth + 1)
+            };
+            if !follow.is_finite() {
+                return f64::INFINITY;
+            }
+            total += p_fail * (row.rate * x + follow);
+        }
+        total
     }
 }
 
@@ -670,10 +878,250 @@ fn validate(ctx: &DecisionContext<'_>, step: f64) -> Result<()> {
     Ok(())
 }
 
+/// The §5.3 recursion as first written: against the `DecisionContext`
+/// methods, one context clone per node, a `HashMap` memo. Kept as the
+/// oracle the table-driven [`Evaluator`] must equal bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::{bucket, EcEstimate, EcParams, EPS_WORK};
+    use crate::model::{CurrentDeployment, DecisionContext};
+    use std::collections::HashMap;
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub(super) enum MemoKey {
+        All {
+            t: u64,
+            w: u64,
+            depth: usize,
+        },
+        Fresh {
+            cand: usize,
+            t: u64,
+            w: u64,
+            depth: usize,
+            delta: bool,
+        },
+        Continuation {
+            cand: usize,
+            uptime: u64,
+            t: u64,
+            w: u64,
+            depth: usize,
+        },
+    }
+
+    pub(super) type Memo = HashMap<MemoKey, f64>;
+
+    /// `expected_cost_approx_in` without the validation.
+    pub(super) fn expected_cost(
+        ctx: &DecisionContext<'_>,
+        params: &EcParams,
+        memo: &mut Memo,
+    ) -> EcEstimate {
+        memo.clear();
+        let mut best = EcEstimate {
+            best: None,
+            cost: f64::INFINITY,
+        };
+        for i in 0..ctx.candidates.len() {
+            let cost = approx_cost_of(ctx, i, params, memo, 0);
+            if cost < best.cost {
+                best = EcEstimate {
+                    best: Some(i),
+                    cost,
+                };
+            }
+        }
+        best
+    }
+
+    fn approx_ec_all(
+        ctx: &DecisionContext<'_>,
+        params: &EcParams,
+        memo: &mut Memo,
+        depth: usize,
+    ) -> f64 {
+        if ctx.work_left <= EPS_WORK {
+            return 0.0;
+        }
+        if depth >= params.max_depth {
+            return lrc_cost(ctx);
+        }
+        let key = MemoKey::All {
+            t: bucket(ctx.now, params.time_bucket),
+            w: bucket(ctx.work_left, params.work_bucket),
+            depth,
+        };
+        if let Some(&c) = memo.get(&key) {
+            return c;
+        }
+        // Seed with the lrc cost to keep recursion bounded even while the memo
+        // entry is being computed (re-entrancy through the failure branch).
+        memo.insert(key, lrc_cost(ctx));
+        let mut best = f64::INFINITY;
+        for i in 0..ctx.candidates.len() {
+            let c = approx_cost_of(ctx, i, params, memo, depth);
+            if c < best {
+                best = c;
+            }
+        }
+        memo.insert(key, best);
+        best
+    }
+
+    pub(super) fn approx_cost_of(
+        ctx: &DecisionContext<'_>,
+        i: usize,
+        params: &EcParams,
+        memo: &mut Memo,
+        depth: usize,
+    ) -> f64 {
+        if ctx.work_left <= EPS_WORK {
+            return 0.0;
+        }
+        if depth >= params.max_depth {
+            return lrc_cost(ctx);
+        }
+        let t = bucket(ctx.now, params.time_bucket);
+        let w = bucket(ctx.work_left, params.work_bucket);
+        let key = if ctx.is_continuation(i) {
+            let uptime = ctx.current.map(|cur| cur.uptime).unwrap_or(0.0);
+            MemoKey::Continuation {
+                cand: i,
+                uptime: bucket(uptime, params.time_bucket),
+                t,
+                w,
+                depth,
+            }
+        } else {
+            MemoKey::Fresh {
+                cand: i,
+                t,
+                w,
+                depth,
+                delta: ctx.current.is_some(),
+            }
+        };
+        if let Some(&cached) = memo.get(&key) {
+            return cached;
+        }
+        let result = approx_cost_of_uncached(ctx, i, params, memo, depth);
+        memo.insert(key, result);
+        result
+    }
+
+    fn approx_cost_of_uncached(
+        ctx: &DecisionContext<'_>,
+        i: usize,
+        params: &EcParams,
+        memo: &mut Memo,
+        depth: usize,
+    ) -> f64 {
+        let c = &ctx.candidates[i];
+        if !c.is_transient() {
+            // Third branch of EC: on-demand.
+            return if ctx.on_demand_feasible(i) {
+                c.price_rate / 3600.0 * (ctx.work_left * c.t_exec + c.t_save)
+            } else {
+                f64::INFINITY
+            };
+        }
+        // Fourth branch: transient.
+        let useful = match ctx.useful(i) {
+            Ok(u) => u,
+            Err(_) => return f64::INFINITY,
+        };
+        if useful <= 0.0 {
+            // Second branch: selecting c would compromise the deadline.
+            return f64::INFINITY;
+        }
+        let continuation = ctx.is_continuation(i);
+        let setup = if continuation {
+            0.0
+        } else {
+            ctx.t_boot + ctx.effective_load(i)
+        };
+        let t_int = useful + c.t_save;
+        let wall = setup + t_int;
+        let u0 = if continuation {
+            ctx.current.map(|cur| cur.uptime).unwrap_or(0.0)
+        } else {
+            0.0
+        };
+        let f0 = c.eviction.cdf(u0);
+        let f1 = c.eviction.cdf(u0 + wall);
+        let p_fail = if f0 >= 1.0 {
+            1.0
+        } else {
+            ((f1 - f0) / (1.0 - f0)).clamp(0.0, 1.0)
+        };
+        let rate = c.price_rate / 3600.0;
+        let progress = useful / c.t_exec;
+
+        let mut total = 0.0;
+        if p_fail < 1.0 {
+            let next = ctx.at(
+                ctx.now + wall,
+                (ctx.work_left - progress).max(0.0),
+                Some(CurrentDeployment {
+                    index: i,
+                    uptime: u0 + wall,
+                }),
+            );
+            let mut follow = approx_cost_of(&next, i, params, memo, depth);
+            if !follow.is_finite() {
+                follow = lrc_cost(&next);
+            }
+            if !follow.is_finite() {
+                return f64::INFINITY;
+            }
+            total += (1.0 - p_fail) * (rate * wall + follow);
+        }
+
+        if p_fail > 0.0 {
+            let mttf = c.eviction.mttf();
+            let x = (mttf - u0).clamp(1.0, wall);
+            let next = ctx.at(ctx.now + x, ctx.work_left, None);
+            let follow = if depth + 1 >= params.max_depth {
+                lrc_cost(&next)
+            } else {
+                approx_ec_all(&next, params, memo, depth + 1)
+            };
+            if !follow.is_finite() {
+                return f64::INFINITY;
+            }
+            total += p_fail * (rate * x + follow);
+        }
+        total
+    }
+
+    fn lrc_cost(ctx: &DecisionContext<'_>) -> f64 {
+        if ctx.work_left <= EPS_WORK {
+            return 0.0;
+        }
+        let Ok(lrc) = ctx.lrc_index() else {
+            return f64::INFINITY;
+        };
+        if ctx.on_demand_feasible(lrc) {
+            let c = &ctx.candidates[lrc];
+            c.price_rate / 3600.0 * (ctx.work_left * c.t_exec + c.t_save)
+        } else {
+            f64::INFINITY
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::testkit::{candidates, context};
+    use hourglass_cloud::config::paper_configurations;
+    use hourglass_cloud::{
+        eviction, fit, tracegen, DynEviction, EvictionModel, InstanceType, LifetimeCapped,
+    };
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
 
     #[test]
     fn zero_work_costs_nothing() {
@@ -938,5 +1386,250 @@ mod tests {
             per_decision < Duration::from_millis(100),
             "approximation took {per_decision:?} per decision"
         );
+    }
+
+    /// The eviction-model families the simulator's scenarios fit.
+    #[derive(Debug, Clone, Copy)]
+    enum ModelKind {
+        Crossing,
+        Capped,
+        Bathtub,
+    }
+
+    /// The paper's 18 configurations, priced and modelled the way
+    /// `hourglass_sim::runner::build_decision_candidates` does it (that
+    /// crate depends on this one, so the set is assembled here from the
+    /// same `hourglass-cloud` parts): market price × workers, one eviction
+    /// process per instance type fitted on the history market, one shared
+    /// reliable model for the on-demand half, sublinear `t_exec` scaling.
+    fn paper_candidates(kind: ModelKind, lrc_exec: f64, at: f64) -> Vec<Candidate> {
+        let market = tracegen::simulation_market(7).expect("market");
+        let history = tracegen::history_market(7).expect("history");
+        let (window, samples, seed) = (24.0 * 3600.0, 400, 17);
+        let models: Vec<(InstanceType, DynEviction)> = InstanceType::PAPER
+            .iter()
+            .map(|&ty| {
+                let trace = history.trace(ty).expect("trace");
+                let bid = ty.on_demand_price();
+                let crossing =
+                    || EvictionModel::from_trace(trace, bid, window, samples, seed).expect("fit");
+                let model: DynEviction = match kind {
+                    ModelKind::Crossing => Arc::new(crossing()),
+                    ModelKind::Capped => Arc::new(
+                        LifetimeCapped::new(Arc::new(crossing()), 6.0 * 3600.0).expect("cap"),
+                    ),
+                    ModelKind::Bathtub => {
+                        Arc::new(fit::fit_bathtub(trace, bid, window, samples, seed).expect("fit"))
+                    }
+                };
+                (ty, model)
+            })
+            .collect();
+        let reliable: DynEviction = Arc::new(eviction::reliable());
+        let configs = paper_configurations();
+        let max_vcpus = configs
+            .iter()
+            .map(|c| c.total_vcpus())
+            .max()
+            .expect("configs") as f64;
+        configs
+            .into_iter()
+            .map(|config| {
+                let workers = f64::from(config.num_workers);
+                let t_load = 1500.0 / workers + 20.0;
+                let transient = config.is_transient();
+                Candidate {
+                    config,
+                    t_exec: lrc_exec * (max_vcpus / f64::from(config.total_vcpus())).powf(0.33),
+                    t_load,
+                    t_load_delta: 0.3 * t_load,
+                    t_save: 400.0 / workers + 10.0,
+                    price_rate: if transient {
+                        let trace = market.trace(config.instance_type).expect("trace");
+                        trace.price_at(at).expect("price") * workers
+                    } else {
+                        config.on_demand_rate()
+                    },
+                    eviction: if transient {
+                        let (_, model) = models
+                            .iter()
+                            .find(|(ty, _)| *ty == config.instance_type)
+                            .expect("model");
+                        model.clone()
+                    } else {
+                        reliable.clone()
+                    },
+                }
+            })
+            .collect()
+    }
+
+    /// Seeded decision states over `cands`: job start, evicted, holding a
+    /// deployment (every candidate is then evaluated as a continuation or
+    /// as a delta-priced switch), work from all of it down to `EPS_WORK`,
+    /// clocks up to and past the deadline.
+    fn random_contexts<'a>(
+        cands: &'a [Candidate],
+        n: usize,
+        rng: &mut StdRng,
+    ) -> Vec<DecisionContext<'a>> {
+        let base = context(cands);
+        let lrc = &cands[base.lrc_index().expect("lrc")];
+        let t_boot = 60.0;
+        (0..n)
+            .map(|_| {
+                let slack = rng.gen_range(0.0..1.2);
+                let deadline = lrc.t_fixed(t_boot) + lrc.t_exec * (1.0 + slack);
+                let work_left = match rng.gen_range(0..4u32) {
+                    0 => 1.0,
+                    1 => 10f64.powi(-rng.gen_range(1..10i32)),
+                    _ => rng.gen_range(0.0..1.0),
+                };
+                let now = match rng.gen_range(0..4u32) {
+                    0 => 0.0,
+                    // Roughly on schedule.
+                    1 => (1.0 - work_left) * deadline * rng.gen_range(0.5..1.0),
+                    _ => rng.gen_range(0.0..1.1) * deadline,
+                };
+                let current = rng.gen_bool(0.6).then(|| CurrentDeployment {
+                    index: rng.gen_range(0..cands.len()),
+                    uptime: match rng.gen_range(0..3u32) {
+                        0 => 0.0,
+                        1 => rng.gen_range(0.0..3600.0),
+                        _ => rng.gen_range(0.0..30.0 * 3600.0),
+                    },
+                });
+                DecisionContext {
+                    now,
+                    deadline,
+                    work_left,
+                    t_boot,
+                    candidates: cands,
+                    current,
+                    save_retry_factor: 0.0,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn table_evaluator_equals_the_reference_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_EC53);
+        let mut sets = vec![(candidates(), 1500)];
+        for kind in [ModelKind::Crossing, ModelKind::Capped, ModelKind::Bathtub] {
+            // SSSP-, PageRank- and GC-sized jobs: chains of 1, a few and
+            // dozens of checkpoint intervals.
+            for (lrc_exec, n) in [(180.0, 700), (1200.0, 500), (4.0 * 3600.0, 150)] {
+                let at = rng.gen_range(0.0..20.0 * 86_400.0);
+                sets.push((paper_candidates(kind, lrc_exec, at), n));
+            }
+        }
+        let mut memo = EcMemo::new();
+        let mut oracle = reference::Memo::new();
+        let (mut checked, mut feasible, mut rows) = (0, 0, 0);
+        for (cands, n) in &sets {
+            let long_chains = cands.len() > 4 && cands[0].t_exec > 3600.0;
+            for ctx in random_contexts(cands, *n, &mut rng) {
+                let params = EcParams {
+                    // Depth 3 on the GC-sized sets is minutes of debug-build
+                    // recursion; the shorter jobs cover it.
+                    max_depth: rng.gen_range(1..if long_chains { 3 } else { 4 }),
+                    ..EcParams::default()
+                };
+                let want = reference::expected_cost(&ctx, &params, &mut oracle);
+                let got = expected_cost_approx_in(&ctx, &params, &mut memo).expect("valid");
+                assert_eq!(
+                    (got.cost.to_bits(), got.best),
+                    (want.cost.to_bits(), want.best),
+                    "{got:?} != {want:?} at now={} w={} current={:?} deadline={} depth={}",
+                    ctx.now,
+                    ctx.work_left,
+                    ctx.current,
+                    ctx.deadline,
+                    params.max_depth,
+                );
+                assert_eq!(memo.len(), oracle.len(), "memoized states differ");
+                checked += 1;
+                feasible += usize::from(want.best.is_some());
+                rows += oracle.len();
+            }
+        }
+        assert!(checked >= 5000, "only {checked} contexts");
+        // The sweep must not be vacuous: most states are decidable and the
+        // recursion does run (≫ one row per candidate).
+        assert!(feasible * 2 > checked, "{feasible} of {checked} feasible");
+        assert!(rows > 100 * checked, "{rows} rows over {checked} contexts");
+    }
+
+    #[test]
+    fn memo_table_behaves_like_a_hash_map() {
+        // Keys from a small domain so look-ups hit, rows are overwritten
+        // and probe chains form; resets and growth in between.
+        let mut rng = StdRng::seed_from_u64(0x7AB1E);
+        let mut table = MemoTable::with_slots(MemoTable::MIN_SLOTS);
+        let mut map = std::collections::HashMap::new();
+        let spaces = [
+            KeySpace::All,
+            KeySpace::FreshEvicted,
+            KeySpace::FreshHeld,
+            KeySpace::Continuation,
+        ];
+        for op in 0..60_000 {
+            let key = MemoKey {
+                t: rng.gen_range(0..12u64),
+                w: rng.gen_range(0..6u64),
+                uptime: rng.gen_range(0..3u64) * (u64::MAX / 2),
+                cand: rng.gen_range(0..4usize),
+                depth: rng.gen_range(0..3u32),
+                space: spaces[rng.gen_range(0..4usize)],
+            };
+            let id = (
+                key.t,
+                key.w,
+                key.uptime,
+                key.cand,
+                key.depth,
+                key.space as u8,
+            );
+            if rng.gen_bool(0.5) {
+                assert_eq!(table.get(key.hash(), &key), map.get(&id).copied());
+            } else {
+                table.insert(key.hash(), key, f64::from(op));
+                map.insert(id, f64::from(op));
+            }
+            assert_eq!(table.live, map.len());
+            if rng.gen_range(0..4000u32) == 0 {
+                table.reset();
+                map.clear();
+            }
+        }
+        assert!(table.slots.len() > MemoTable::MIN_SLOTS, "never grew");
+    }
+
+    #[test]
+    fn memo_survives_stamp_wraparound_and_growth() {
+        let cands = candidates();
+        let base = context(&cands);
+        let p = EcParams::default();
+        let mut memo = EcMemo::new();
+        memo.table.stamp = u32::MAX - 2;
+        let slots = memo.table.slots.len();
+        for step in 0..6 {
+            let ctx = base.at(step as f64 * 900.0, 1.0 - step as f64 * 0.12, None);
+            let fresh = expected_cost_approx(&ctx, &p).expect("fresh");
+            let reused = expected_cost_approx_in(&ctx, &p, &mut memo).expect("arena");
+            assert_eq!(fresh, reused, "diverged at step {step}");
+            assert!(memo.table.stamp >= 1, "stamp 0 marks vacant slots");
+            let live = memo
+                .table
+                .slots
+                .iter()
+                .filter(|slot| slot.stamp == memo.table.stamp)
+                .count();
+            assert_eq!(live, memo.len(), "stale rows resurfaced at step {step}");
+        }
+        assert!(memo.table.stamp < 10, "the stamp wrapped");
+        assert!(memo.table.slots.len() > slots, "the table grew");
+        assert!(memo.len() * 2 <= memo.table.slots.len());
     }
 }

@@ -81,6 +81,9 @@ pub struct SimulationSetup<'a> {
     /// means price crossings are the only eviction cause (the paper's
     /// world).
     pub lifetime: Option<LifetimeGroundTruth>,
+    /// The never-evicting model every on-demand candidate shares (built
+    /// once here, not once per candidate per decision).
+    reliable: DynEviction,
 }
 
 impl<'a> SimulationSetup<'a> {
@@ -94,6 +97,7 @@ impl<'a> SimulationSetup<'a> {
             checkpoint_interval_override: None,
             fault_plan: None,
             lifetime: None,
+            reliable: Arc::new(eviction::reliable()),
         }
     }
 
@@ -1108,7 +1112,7 @@ fn build_candidates(
                 }
             };
             let eviction: DynEviction = match perf.config.class {
-                ResourceClass::OnDemand => Arc::new(eviction::reliable()),
+                ResourceClass::OnDemand => setup.reliable.clone(),
                 ResourceClass::Transient => {
                     setup.eviction_model(perf.config.instance_type)?.clone()
                 }
