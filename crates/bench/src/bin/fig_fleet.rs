@@ -464,5 +464,5 @@ fn smoke_scenario(cli: &Cli, kind: ScenarioKind) -> (u64, u64) {
         base.missed_pct(),
         fleet.share_hits,
     );
-    (fleet.runs as u64, (agg.admits + agg.rejects) as u64)
+    (fleet.runs as u64, agg.admits + agg.rejects)
 }

@@ -2,27 +2,78 @@
 //!
 //! Every parallel region in the engine (superstep compute, message
 //! delivery, loader parsing) and in the simulator (Monte-Carlo sweeps) is
-//! a fork-join over disjoint per-task state. Centralizing the
-//! scoped-thread plumbing keeps the sequential and threaded paths
-//! literally the same closures, which is what makes "parallel matches
-//! sequential" a structural guarantee rather than a test-enforced one.
+//! a fork-join over disjoint per-task state. Centralizing the thread
+//! plumbing keeps the sequential and threaded paths literally the same
+//! closures, which is what makes "parallel matches sequential" a
+//! structural guarantee rather than a test-enforced one.
 //!
-//! The fork-join seam is also the observability merge point: each task
-//! body is bracketed with `hourglass_obs` and `hourglass_metrics` task
-//! scopes, and the spans and metric shards a task recorded are handed
-//! back to the caller in task-submission order on both paths — a traced
-//! (or metered) parallel run collects the same span stream and the same
-//! metric snapshot as a sequential one.
+//! There are two primitives, and which one is right depends on how often
+//! the caller forks:
+//!
+//! - [`fork_join`] (and [`par_map`] / [`par_map_when`] on top of it) spawns
+//!   one scoped thread per task and joins them. A spawn-and-join costs
+//!   ≈ 0.1 ms, which is nothing to a caller that forks once over seconds of
+//!   work: the loaders and the simulator's sweeps. Short-lived threads also
+//!   hand their heap back at every join.
+//! - [`Pool`] keeps `k − 1` workers parked between rounds and hands a round
+//!   over in about a microsecond. It is for a caller that forks thousands
+//!   of times over the same `k`: the BSP engine, twice per superstep, where
+//!   a sparse superstep is shorter than a spawn.
+//!
+//! The split is measured, not assumed (EXPERIMENTS.md, "A persistent worker
+//! pool"): the pool made an 830-superstep SSSP 1.39× faster, while routing
+//! the simulator's sweeps through parked workers grew their peak RSS from
+//! 90 to 130 MiB (a parked thread keeps its heap) at no gain in time. So
+//! there is no process-wide pool, and a caller picks by its shape, not by
+//! a flag.
+//!
+//! The fork-join seam is also the observability merge point: every task
+//! body, on the sequential path, on a scoped thread or on a pool worker,
+//! runs inside one bracket (`run_task`) of `hourglass_obs` and
+//! `hourglass_metrics` task scopes, and the spans and metric shards a task
+//! recorded are handed back to the caller in task-submission order — a
+//! traced (or metered) parallel run collects the same span stream and the
+//! same metric snapshot as a sequential one.
 
-// `deny` rather than `forbid`: the affinity syscalls in `pin` carry the
-// crate's only `unsafe`, under a scoped allow with a SAFETY argument.
+// `deny` rather than `forbid`: the crate has two audited `unsafe` sites,
+// each under a scoped allow with a SAFETY argument — the affinity syscalls
+// in `pin`, and the borrow erasure that lets `Pool` workers run a caller's
+// tasks.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod pin;
+mod pool;
+
+pub use pool::Pool;
 
 use hourglass_metrics as metrics;
 use hourglass_obs as obs;
+
+/// A task's result with the telemetry it recorded.
+type TaskOut<R> = (R, metrics::TaskShard, obs::TaskSpans);
+
+/// The bracket every task runs in, whatever thread it is on: task `i`
+/// records its spans on track `i` and its metrics in a fresh shard, and
+/// both come back with the result. `pinned` is for threads that exist to
+/// run task `i`; the calling thread is never pinned.
+fn run_task<R>(i: usize, pinned: bool, task: impl FnOnce() -> R) -> TaskOut<R> {
+    if pinned {
+        pin::pin_task_thread(i);
+    }
+    let scope = obs::task_begin(i as u32);
+    let mscope = metrics::task_begin();
+    let r = task();
+    (r, metrics::task_end(mscope), obs::task_end(scope))
+}
+
+/// Hands a finished task's telemetry to the calling thread. Join points
+/// call this in task order.
+fn merge_task<R>((r, shard, spans): TaskOut<R>) -> R {
+    metrics::merge_task(shard);
+    obs::merge_task(spans);
+    r
+}
 
 /// Runs `tasks` to completion and returns their results in task order.
 ///
@@ -38,42 +89,19 @@ where
     R: Send,
     F: FnOnce() -> R + Send,
 {
+    let tasks = tasks.into_iter().enumerate();
     if !parallel || tasks.len() < 2 {
         return tasks
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let scope = obs::task_begin(i as u32);
-                let mscope = metrics::task_begin();
-                let r = t();
-                metrics::merge_task(metrics::task_end(mscope));
-                obs::merge_task(obs::task_end(scope));
-                r
-            })
+            .map(|(i, t)| merge_task(run_task(i, false, t)))
             .collect();
     }
     std::thread::scope(|scope| {
         let handles: Vec<_> = tasks
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                scope.spawn(move || {
-                    pin::pin_task_thread(i);
-                    let scope = obs::task_begin(i as u32);
-                    let mscope = metrics::task_begin();
-                    let r = t();
-                    (r, metrics::task_end(mscope), obs::task_end(scope))
-                })
-            })
+            .map(|(i, t)| scope.spawn(move || run_task(i, true, t)))
             .collect();
         handles
             .into_iter()
-            .map(|h| {
-                let (r, shard, spans) = h.join().expect("worker thread panicked");
-                metrics::merge_task(shard);
-                obs::merge_task(spans);
-                r
-            })
+            .map(|h| merge_task(h.join().expect("worker thread panicked")))
             .collect()
     })
 }
@@ -126,12 +154,38 @@ pub fn chunk_ranges(len: usize, max_tasks: usize) -> Vec<std::ops::Range<usize>>
 mod tests {
     use super::*;
 
+    /// The three ways a round of tasks can run; they must be
+    /// indistinguishable from the results and the telemetry.
+    enum Path {
+        Sequential,
+        Scoped,
+        Pooled(Pool),
+    }
+
+    impl Path {
+        fn all(k: usize) -> [Path; 3] {
+            [Path::Sequential, Path::Scoped, Path::Pooled(Pool::new(k))]
+        }
+
+        fn run<R, F>(&mut self, tasks: Vec<F>) -> Vec<R>
+        where
+            R: Send,
+            F: FnOnce() -> R + Send,
+        {
+            match self {
+                Path::Sequential => fork_join(false, tasks),
+                Path::Scoped => fork_join(true, tasks),
+                Path::Pooled(pool) => pool.fork_join(tasks),
+            }
+        }
+    }
+
     #[test]
-    fn fork_join_preserves_order() {
-        let tasks: Vec<_> = (0..8).map(|i| move || i * i).collect();
-        assert_eq!(fork_join(true, tasks), vec![0, 1, 4, 9, 16, 25, 36, 49]);
-        let tasks: Vec<_> = (0..8).map(|i| move || i * i).collect();
-        assert_eq!(fork_join(false, tasks), vec![0, 1, 4, 9, 16, 25, 36, 49]);
+    fn every_path_preserves_order() {
+        for mut path in Path::all(8) {
+            let tasks: Vec<_> = (0..8).map(|i| move || i * i).collect();
+            assert_eq!(path.run(tasks), vec![0, 1, 4, 9, 16, 25, 36, 49]);
+        }
     }
 
     #[test]
@@ -160,28 +214,30 @@ mod tests {
     }
 
     #[test]
-    fn fork_join_mutates_disjoint_slices() {
-        let mut data = vec![0u64; 6];
-        let tasks: Vec<_> = data
-            .chunks_mut(2)
-            .enumerate()
-            .map(|(i, chunk)| {
-                move || {
-                    for c in chunk.iter_mut() {
-                        *c = i as u64 + 1;
+    fn every_path_mutates_disjoint_slices() {
+        for mut path in Path::all(3) {
+            let mut data = vec![0u64; 6];
+            let tasks: Vec<_> = data
+                .chunks_mut(2)
+                .enumerate()
+                .map(|(i, chunk)| {
+                    move || {
+                        for c in chunk.iter_mut() {
+                            *c = i as u64 + 1;
+                        }
                     }
-                }
-            })
-            .collect();
-        fork_join(true, tasks);
-        assert_eq!(data, vec![1, 1, 2, 2, 3, 3]);
+                })
+                .collect();
+            path.run(tasks);
+            assert_eq!(data, vec![1, 1, 2, 2, 3, 3]);
+        }
     }
 
     #[test]
-    fn fork_join_merges_task_spans_in_task_order() {
-        // The merged span stream must be identical on the sequential and
-        // the threaded path: track = task index, task-submission order.
-        for parallel in [false, true] {
+    fn every_path_merges_task_spans_in_task_order() {
+        // The merged span stream must be identical on all three paths:
+        // track = task index, task-submission order.
+        for (which, mut path) in Path::all(4).into_iter().enumerate() {
             let session = obs::TraceSession::start();
             let tasks: Vec<_> = (0..4u64)
                 .map(|i| {
@@ -191,7 +247,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let out = fork_join(parallel, tasks);
+            let out = path.run(tasks);
             assert_eq!(out, vec![0, 1, 2, 3]);
             let trace = session.finish();
             let order: Vec<(u32, u64)> = trace
@@ -199,16 +255,12 @@ mod tests {
                 .iter()
                 .map(|s| (s.track, s.args.pairs()[0].1))
                 .collect();
-            assert_eq!(
-                order,
-                vec![(0, 0), (1, 1), (2, 2), (3, 3)],
-                "parallel={parallel}"
-            );
+            assert_eq!(order, vec![(0, 0), (1, 1), (2, 2), (3, 3)], "path {which}");
         }
     }
 
     #[test]
-    fn fork_join_merges_metric_shards_identically_on_both_paths() {
+    fn every_path_merges_metric_shards_identically() {
         static EVENTS: metrics::FamilyDesc = metrics::FamilyDesc {
             name: "exec_test_events_total",
             help: "Per-task events.",
@@ -224,25 +276,27 @@ mod tests {
             nondeterministic: false,
         };
         let mut snaps = Vec::new();
-        for parallel in [false, true] {
+        for mut path in Path::all(6) {
             let session = metrics::MetricsSession::start();
             let tasks: Vec<_> = (0..6u64)
                 .map(|i| {
                     move || {
                         metrics::add(&EVENTS, &[], i);
                         // Non-commutative f64 sums must still match:
-                        // merges happen in submission order on both paths.
+                        // merges happen in submission order on every path.
                         metrics::addf(&SECONDS, &[], 0.1 * (i as f64) + 1e-13);
                     }
                 })
                 .collect();
-            fork_join(parallel, tasks);
+            path.run(tasks);
             snaps.push(session.finish());
         }
-        assert!(
-            snaps[0].bit_eq(&snaps[1]),
-            "parallel metric snapshot must be bit-identical to sequential"
-        );
+        for snap in &snaps[1..] {
+            assert!(
+                snaps[0].bit_eq(snap),
+                "a threaded metric snapshot must be bit-identical to the sequential one"
+            );
+        }
         assert_eq!(snaps[0].scalar("exec_test_events_total", &[]), 15.0);
     }
 

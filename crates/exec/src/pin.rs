@@ -8,6 +8,12 @@
 //! scheduler from migrating workers mid-superstep and keeps each worker's
 //! slab resident in one core's private cache.
 //!
+//! Only threads that exist to run task `i` are pinned: a scoped
+//! `fork_join` thread, a [`Pool`](crate::Pool) worker. A task that runs on
+//! the calling thread — the sequential path, the pool's last slot — is
+//! never pinned, because the caller's affinity would stay narrowed after
+//! the call returned.
+//!
 //! Implemented with raw `sched_setaffinity`/`sched_getaffinity` syscalls
 //! on Linux x86_64/aarch64 (the workspace does not link libc); everywhere
 //! else the module compiles to a no-op, so callers never need to gate on
@@ -196,6 +202,33 @@ mod tests {
         let pinned = run();
         force_disable();
         assert_eq!(unpinned, pinned);
+    }
+
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    #[test]
+    fn the_calling_thread_is_never_pinned() {
+        let _guard = SWITCH.lock().expect("lock");
+        // Drive the pool from a scratch thread: whatever happens to the
+        // caller's mask must not happen to the test runner's.
+        let handle = std::thread::spawn(|| {
+            let before = sys::query_allowed_cpus();
+            force_enable();
+            let mut pool = crate::Pool::new(2);
+            let tasks: Vec<_> = (0..2).map(|_| sys::query_allowed_cpus).collect();
+            let masks = pool.fork_join(tasks);
+            force_disable();
+            (before, masks, sys::query_allowed_cpus())
+        });
+        let (before, masks, after) = handle.join().expect("thread");
+        if before.is_empty() {
+            return;
+        }
+        assert_eq!(masks[0], vec![allowed_cpus()[0]], "worker 0 runs task 0");
+        assert_eq!(masks[1], before, "the caller's own task");
+        assert_eq!(after, before);
     }
 
     #[cfg(all(

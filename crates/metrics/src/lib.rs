@@ -358,8 +358,8 @@ impl TaskShard {
 
 /// Marks the start of a fork-join task on the current thread: subsequent
 /// samples accumulate in a fresh shard until [`task_end`]. Called by
-/// `hourglass_exec::fork_join` for every task on both the sequential and
-/// the threaded path.
+/// `hourglass_exec` for every task, whether it runs on the calling thread, a
+/// scoped thread or a pool worker.
 pub fn task_begin() -> TaskScope {
     let epoch = EPOCH.load(Ordering::Relaxed);
     if epoch == 0 {

@@ -388,8 +388,8 @@ impl TaskSpans {
 
 /// Marks the start of fork-join task `track` on the current thread:
 /// subsequent spans carry that track id until [`task_end`]. Called by
-/// `hourglass_exec::fork_join` for every task on both the sequential and
-/// the threaded path.
+/// `hourglass_exec` for every task, whether it runs on the calling thread, a
+/// scoped thread or a pool worker.
 pub fn task_begin(track: u32) -> TaskScope {
     let epoch = EPOCH.load(Ordering::Relaxed);
     if epoch == 0 {
